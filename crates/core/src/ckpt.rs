@@ -244,6 +244,20 @@ impl SlotParams for crate::models::sage::Sage {
     }
 }
 
+impl SlotParams for sgnn_nn::Mlp {
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut DenseMatrix)) {
+        sgnn_nn::Mlp::visit_params_mut(self, f)
+    }
+
+    fn rng_calls(&self) -> Vec<u64> {
+        self.dropout_calls()
+    }
+
+    fn restore_rng_calls(&mut self, calls: &[u64]) {
+        self.restore_dropout_calls(calls)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -50,25 +50,22 @@
 
 use crate::ckpt::CkptSidecar;
 use crate::error::{TrainError, TrainResult};
-use crate::models::gcn::{gcn_operator, Gcn, GcnConfig};
+use crate::models::gcn::{gcn_operator, Gcn};
 use crate::shard_comm::CommState;
-use crate::trainer::{
-    apply_resume, build_ledger, ensure_classes, maybe_checkpoint, poll_epoch_kill, EarlyStopper,
-    TrainConfig, TrainReport,
-};
+use crate::trainer::{new_gcn, EpochDriver, Sidecar, TrainConfig, TrainReport};
 use sgnn_data::Dataset;
 use sgnn_fault::crc::crc32_f32s;
 use sgnn_fault::FaultPlan;
 use sgnn_graph::spmm::spmm_into;
+use sgnn_graph::{CsrGraph, NodeId};
 use sgnn_linalg::par::par_map_chunks;
 use sgnn_linalg::quant::{ef_compress_rows, wire_bytes_per_vector};
 use sgnn_linalg::reduce::{accumulate_fx, colsum_fx, grad_fx, merge_fx};
 use sgnn_linalg::{vecops, DenseMatrix};
 use sgnn_nn::layers::Dropout;
 use sgnn_nn::loss::{loss_from_fx, xent_grad_row, xent_softmaxed_row_fx};
-use sgnn_nn::optim::Adam;
-use sgnn_obs::{Phase, PhaseBreakdown};
-use sgnn_partition::{Partition, ShardPlan};
+use sgnn_obs::Phase;
+use sgnn_partition::{Partition, Shard, ShardPlan};
 use std::time::Instant;
 
 static HALO_BYTES: sgnn_obs::Counter = sgnn_obs::Counter::new("comm.halo_bytes");
@@ -150,7 +147,7 @@ serde::impl_serialize!(ShardStats {
 });
 
 /// Per-shard trainer-side context: feature slice, gather indices, and
-/// split membership translated to owned-rank space.
+/// training-split membership translated to owned-rank space.
 struct ShardCtx {
     /// Local row index of each owned rank (for `gather_rows`).
     owned_rows: Vec<usize>,
@@ -158,10 +155,8 @@ struct ShardCtx {
     /// input, replicated once at setup like ghost features in a real
     /// distributed deployment.
     features: DenseMatrix,
-    /// `(owned rank, label)` of train/val/test nodes owned by this shard.
+    /// `(owned rank, label)` of the training nodes owned by this shard.
     train: Vec<(usize, usize)>,
-    val: Vec<(usize, usize)>,
-    test: Vec<(usize, usize)>,
 }
 
 /// Running communication tallies (local mirror of the obs counters, kept
@@ -217,6 +212,112 @@ fn build_ghost(
     gm
 }
 
+/// Shard-local SpMM into a fresh `rows × d` matrix.
+fn spmm_new(op: &CsrGraph, x: &DenseMatrix, rows: usize, d: usize) -> DenseMatrix {
+    let mut out = DenseMatrix::zeros(rows, d);
+    spmm_into(op, x, &mut out);
+    out
+}
+
+/// A shard's full `n_local × d` propagation input: its owned rows from
+/// `own`, halo slot `j`'s row from `ghost(j)`.
+fn assemble<'m>(
+    shard: &Shard,
+    own: &DenseMatrix,
+    d: usize,
+    ghost: impl Fn(usize) -> &'m [f32],
+) -> DenseMatrix {
+    let mut h = DenseMatrix::zeros(shard.n_local(), d);
+    for (r, &lr) in shard.owned_local.iter().enumerate() {
+        h.row_mut(lr as usize).copy_from_slice(own.row(r));
+    }
+    for (j, &hl) in shard.halo_local.iter().enumerate() {
+        h.row_mut(hl as usize).copy_from_slice(ghost(j));
+    }
+    h
+}
+
+/// `x·W + b`, the dense part of a GCN layer over a shard's owned rows.
+fn affine(x: &DenseMatrix, w: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
+    let mut z = x.matmul(w).expect("linear shapes");
+    for r in 0..z.rows() {
+        vecops::axpy(1.0, b.row(0), z.row_mut(r));
+    }
+    z
+}
+
+fn unzip3<A, B, C>(v: Vec<(A, B, C)>) -> (Vec<A>, Vec<B>, Vec<C>) {
+    let (mut a, mut b, mut c) = (Vec::with_capacity(v.len()), Vec::new(), Vec::new());
+    for (x, y, z) in v {
+        a.push(x);
+        b.push(y);
+        c.push(z);
+    }
+    (a, b, c)
+}
+
+/// The checksum-verified bounded-retry recovery policy of DESIGN.md §8
+/// for one exchange's received buffers `bufs`, applied only under an
+/// armed fault plan: sender-side CRC-32s of the pristine buffers, one
+/// injected in-transit corruption, then up to [`MAX_HALO_RETRIES`]
+/// rounds rebuilding every mismatching buffer from its (still pristine)
+/// source. Returns `(exchange, retries)` when corruption outlives the
+/// budget. Without a plan no checksums are computed at all.
+fn verify_halo(
+    fault: Option<&FaultPlan>,
+    xid: u64,
+    bufs: &mut [DenseMatrix],
+    rebuild: impl Fn(usize) -> DenseMatrix,
+) -> Option<(u64, u32)> {
+    let fp = fault?;
+    let want: Vec<u32> = bufs.iter().map(|h| crc32_f32s(h.data())).collect();
+    let victim = xid as usize % bufs.len();
+    fp.corrupt_halo_buf(xid, bufs[victim].data_mut());
+    let mut retries = 0u32;
+    loop {
+        let bad: Vec<usize> =
+            (0..bufs.len()).filter(|&s| crc32_f32s(bufs[s].data()) != want[s]).collect();
+        if bad.is_empty() {
+            return None;
+        }
+        if retries >= MAX_HALO_RETRIES {
+            return Some((xid, retries));
+        }
+        retries += 1;
+        sgnn_fault::record_recovery_retry();
+        for &s in &bad {
+            bufs[s] = rebuild(s);
+        }
+    }
+}
+
+/// One compressed-regime superstep on `2k` pool tasks: tasks `0..k`
+/// run `task(s)` while tasks `k..2k` run interior aggregation
+/// `op_interior · outs` for the next propagation. Returns both result
+/// sets and the interior tasks' nanoseconds.
+fn with_interior(
+    plan: &ShardPlan,
+    op_interior: &[CsrGraph],
+    outs: &[DenseMatrix],
+    d: usize,
+    task: impl Fn(usize) -> DenseMatrix + Sync,
+) -> (Vec<DenseMatrix>, Vec<DenseMatrix>, u64) {
+    let k = plan.k;
+    let results: Vec<(DenseMatrix, u64)> = par_map_chunks(2 * k, |t| {
+        let t0 = Instant::now();
+        let m = if t < k {
+            task(t)
+        } else {
+            spmm_new(&op_interior[t - k], &outs[t - k], plan.shards[t - k].owned.len(), d)
+        };
+        (m, t0.elapsed().as_nanos() as u64)
+    });
+    let mut it = results.into_iter();
+    let firsts = it.by_ref().take(k).map(|(m, _)| m).collect();
+    let (interiors, ns): (Vec<DenseMatrix>, Vec<u64>) = it.unzip();
+    (firsts, interiors, ns.iter().sum())
+}
+
 /// Shared state of one sharded run.
 struct Runtime<'a> {
     plan: &'a ShardPlan,
@@ -249,6 +350,12 @@ struct Runtime<'a> {
     /// True while an evaluation pass runs, routing exchange latency to
     /// `comm.eval_halo_exchange.ns` instead of the training histogram.
     in_eval: bool,
+}
+
+impl Sidecar for Runtime<'_> {
+    fn sidecar(&mut self) -> Option<&mut dyn CkptSidecar> {
+        self.comm_state.as_mut().map(|s| s as &mut dyn CkptSidecar)
+    }
 }
 
 impl Runtime<'_> {
@@ -289,13 +396,8 @@ impl Runtime<'_> {
     /// precomputed `halo_src` map. Double-buffered by construction: the
     /// sources (`outs`) and destinations are distinct allocations, so
     /// every shard reads a consistent snapshot regardless of task
-    /// scheduling.
-    ///
-    /// With a fault plan armed, every built buffer is checksummed against
-    /// its sender-side CRC-32 and mismatching shards are rebuilt from the
-    /// (still pristine) sources, up to [`MAX_HALO_RETRIES`] times — the
-    /// checksum-verified-retry recovery policy of DESIGN.md §8. Without a
-    /// plan no checksums are computed at all.
+    /// scheduling. An armed fault plan verifies the buffers
+    /// ([`verify_halo`]).
     fn exchange(&mut self, outs: &[DenseMatrix], d: usize) -> Vec<DenseMatrix> {
         let t_exch = Instant::now();
         let xid = self.exchange_idx;
@@ -303,15 +405,10 @@ impl Runtime<'_> {
         let plan = self.plan;
         let build = |s: usize| {
             let shard = &plan.shards[s];
-            let mut h = DenseMatrix::zeros(shard.n_local(), d);
-            for (r, &lr) in shard.owned_local.iter().enumerate() {
-                h.row_mut(lr as usize).copy_from_slice(outs[s].row(r));
-            }
-            for (t, &(owner, rank)) in shard.halo_src.iter().enumerate() {
-                h.row_mut(shard.halo_local[t] as usize)
-                    .copy_from_slice(outs[owner as usize].row(rank as usize));
-            }
-            h
+            assemble(shard, &outs[s], d, |t| {
+                let (owner, rank) = shard.halo_src[t];
+                outs[owner as usize].row(rank as usize)
+            })
         };
         let mut built = par_map_chunks(plan.k, build);
         let v = plan.halo_vectors();
@@ -320,29 +417,8 @@ impl Runtime<'_> {
         HALO_BYTES.add(b);
         self.comm.halo_vectors += v;
         self.comm.halo_bytes += b;
-        if let Some(fp) = self.fault {
-            // Sender-side checksums of the pristine buffers, then the
-            // injector corrupts one buffer "in transit".
-            let want: Vec<u32> = built.iter().map(|h| crc32_f32s(h.data())).collect();
-            fp.corrupt_halo_buf(xid, built[xid as usize % plan.k].data_mut());
-            let mut retries = 0u32;
-            loop {
-                let bad: Vec<usize> =
-                    (0..plan.k).filter(|&s| crc32_f32s(built[s].data()) != want[s]).collect();
-                if bad.is_empty() {
-                    break;
-                }
-                if retries >= MAX_HALO_RETRIES {
-                    self.halo_fail = Some((xid, retries));
-                    break;
-                }
-                retries += 1;
-                sgnn_fault::record_recovery_retry();
-                // Re-exchange only the shards whose buffer failed.
-                for &s in &bad {
-                    built[s] = build(s);
-                }
-            }
+        if let Some(fail) = verify_halo(self.fault, xid, &mut built, build) {
+            self.halo_fail = Some(fail);
         }
         self.record_exchange_ns(t_exch);
         built
@@ -364,9 +440,7 @@ impl Runtime<'_> {
     /// read — their local adjacency is empty).
     fn propagate_owned(&self, s: usize, input: &DenseMatrix, d: usize) -> DenseMatrix {
         let shard = &self.plan.shards[s];
-        let mut scratch = DenseMatrix::zeros(shard.n_local(), d);
-        spmm_into(&shard.op, input, &mut scratch);
-        scratch.gather_rows(&self.ctxs[s].owned_rows)
+        spmm_new(&shard.op, input, shard.n_local(), d).gather_rows(&self.ctxs[s].owned_rows)
     }
 
     // ---- Compressed regime (DESIGN.md §11) ----------------------------
@@ -387,164 +461,57 @@ impl Runtime<'_> {
             let deq = ef_compress_rows(&block, &mut r, mode);
             (deq, r)
         });
-        let mut deqs = Vec::with_capacity(k);
-        for (s, (deq, r)) in results.into_iter().enumerate() {
-            state.residuals[site][s] = r;
-            deqs.push(deq);
-        }
+        let deqs;
+        (deqs, state.residuals[site]) = results.into_iter().unzip();
         deqs
     }
 
-    /// The overlap superstep of a refresh: pool tasks `0..k` materialize
-    /// each shard's ghost matrix from the dequantized blocks (the
-    /// exchange "in flight") while tasks `k..2k` run interior
-    /// aggregation `op_interior · outs` for the next propagation.
-    /// Interior task time is recorded as `comm.overlap_ns` — the compute
-    /// hidden behind the exchange.
-    fn ghosts_with_interior(
-        &mut self,
-        deqs: &[DenseMatrix],
-        outs: &[DenseMatrix],
-        d: usize,
-    ) -> (Vec<DenseMatrix>, Vec<DenseMatrix>) {
-        let k = self.plan.k;
-        let plan = self.plan;
-        let state = self.comm_state.as_ref().expect("compressed regime");
-        let (halo_pos, op_interior) = (&state.halo_pos, &state.op_interior);
-        let results: Vec<(DenseMatrix, u64)> = par_map_chunks(2 * k, |t| {
-            let t0 = Instant::now();
-            let m = if t < k {
-                build_ghost(plan, halo_pos, deqs, t, d)
-            } else {
-                let s = t - k;
-                let mut scratch = DenseMatrix::zeros(plan.shards[s].owned.len(), d);
-                spmm_into(&op_interior[s], &outs[s], &mut scratch);
-                scratch
-            };
-            (m, t0.elapsed().as_nanos() as u64)
-        });
-        let mut ghosts = Vec::with_capacity(k);
-        let mut interiors = Vec::with_capacity(k);
-        let mut ns = 0u64;
-        for (t, (m, dt)) in results.into_iter().enumerate() {
-            if t < k {
-                ghosts.push(m);
-            } else {
-                interiors.push(m);
-                ns += dt;
-            }
-        }
-        OVERLAP_NS.add(ns);
-        self.comm_state.as_mut().expect("compressed regime").overlap_ns += ns;
-        (ghosts, interiors)
-    }
-
-    /// CRC-verifies compressed ghost matrices under an armed fault plan:
-    /// sender-side checksums of the pristine builds, one injected
-    /// in-transit corruption, and bounded rebuild-from-source retries —
-    /// the DESIGN.md §8 policy with the same budget as the exact path.
-    fn verify_ghosts(
-        &mut self,
-        ghosts: &mut [DenseMatrix],
-        deqs: &[DenseMatrix],
-        xid: u64,
-        d: usize,
-    ) {
-        let Some(fp) = self.fault else { return };
-        let k = self.plan.k;
-        let mut fail = None;
-        {
-            let state = self.comm_state.as_ref().expect("compressed regime");
-            let want: Vec<u32> = ghosts.iter().map(|g| crc32_f32s(g.data())).collect();
-            fp.corrupt_halo_buf(xid, ghosts[xid as usize % k].data_mut());
-            let mut retries = 0u32;
-            loop {
-                let bad: Vec<usize> =
-                    (0..k).filter(|&s| crc32_f32s(ghosts[s].data()) != want[s]).collect();
-                if bad.is_empty() {
-                    break;
-                }
-                if retries >= MAX_HALO_RETRIES {
-                    fail = Some((xid, retries));
-                    break;
-                }
-                retries += 1;
-                sgnn_fault::record_recovery_retry();
-                for &s in &bad {
-                    ghosts[s] = build_ghost(self.plan, &state.halo_pos, deqs, s, d);
-                }
-            }
-        }
-        if fail.is_some() {
-            self.halo_fail = fail;
-        }
-    }
-
-    /// Assembles each shard's full `n_local × d` propagation input:
-    /// fresh owned rows from `outs`, ghost rows from `ghosts`.
-    fn assemble_full(
-        &self,
-        outs: &[DenseMatrix],
-        ghosts: &[DenseMatrix],
-        d: usize,
-    ) -> Vec<DenseMatrix> {
-        let plan = self.plan;
-        par_map_chunks(plan.k, |s| {
-            let shard = &plan.shards[s];
-            let mut h = DenseMatrix::zeros(shard.n_local(), d);
-            for (r, &lr) in shard.owned_local.iter().enumerate() {
-                h.row_mut(lr as usize).copy_from_slice(outs[s].row(r));
-            }
-            for (j, &hl) in shard.halo_local.iter().enumerate() {
-                h.row_mut(hl as usize).copy_from_slice(ghosts[s].row(j));
-            }
-            h
-        })
-    }
-
-    /// Stale superstep: assemble propagation inputs from the site's
-    /// ghost cache — no wire traffic at all — while interior aggregation
-    /// runs alongside on the same pool.
-    fn stale_assemble_with_interior(
+    /// One compressed exchange at `site`: quantize the senders' blocks,
+    /// materialize each shard's ghost matrix (the exchange "in flight")
+    /// while interior aggregation runs alongside, verify the ghosts under
+    /// an armed fault plan, settle the byte accounting, and assemble the
+    /// propagation inputs. `comm.halo_bytes` counts quantized wire bytes
+    /// per (ghost, reader) pair; the delta to the exact regime's `4·d`
+    /// per pair goes to `comm.bytes_saved`. Returns `(inputs, interiors,
+    /// ghosts)`.
+    #[allow(clippy::type_complexity)]
+    fn compressed_refresh(
         &mut self,
         site: usize,
         outs: &[DenseMatrix],
         d: usize,
-    ) -> (Vec<DenseMatrix>, Vec<DenseMatrix>) {
-        let k = self.plan.k;
+    ) -> (Vec<DenseMatrix>, Vec<DenseMatrix>, Vec<DenseMatrix>) {
+        let xid = self.exchange_idx;
+        self.exchange_idx += 1;
+        let deqs = self.compress_blocks(site, outs);
         let plan = self.plan;
-        let state = self.comm_state.as_ref().expect("compressed regime");
-        let (cache, op_interior) = (&state.cache[site], &state.op_interior);
-        let results: Vec<DenseMatrix> = par_map_chunks(2 * k, |t| {
-            if t < k {
-                let shard = &plan.shards[t];
-                let mut h = DenseMatrix::zeros(shard.n_local(), d);
-                for (r, &lr) in shard.owned_local.iter().enumerate() {
-                    h.row_mut(lr as usize).copy_from_slice(outs[t].row(r));
-                }
-                for (j, &hl) in shard.halo_local.iter().enumerate() {
-                    h.row_mut(hl as usize).copy_from_slice(cache[t].row(j));
-                }
-                h
-            } else {
-                let s = t - k;
-                let mut scratch = DenseMatrix::zeros(plan.shards[s].owned.len(), d);
-                spmm_into(&op_interior[s], &outs[s], &mut scratch);
-                scratch
-            }
+        let state = self.comm_state.as_mut().expect("compressed regime");
+        let ghost = |s: usize| build_ghost(plan, &state.halo_pos, &deqs, s, d);
+        // Interior time overlaps the exchange in flight: `comm.overlap_ns`.
+        let (mut ghosts, interiors, ns) = with_interior(plan, &state.op_interior, outs, d, ghost);
+        if let Some(fail) = verify_halo(self.fault, xid, &mut ghosts, ghost) {
+            self.halo_fail = Some(fail);
+        }
+        OVERLAP_NS.add(ns);
+        state.overlap_ns += ns;
+        let v = plan.halo_vectors();
+        let (exact, wire) = (v * 4 * d as u64, v * wire_bytes_per_vector(state.mode, d));
+        state.bytes_saved += exact - wire;
+        HALO_VECTORS.add(v);
+        HALO_BYTES.add(wire);
+        BYTES_SAVED.add(exact - wire);
+        self.comm.halo_vectors += v;
+        self.comm.halo_bytes += wire;
+        let fulls = par_map_chunks(plan.k, |s| {
+            assemble(&plan.shards[s], &outs[s], d, |j| ghosts[s].row(j))
         });
-        let mut it = results.into_iter();
-        let fulls: Vec<DenseMatrix> = it.by_ref().take(k).collect();
-        let interiors: Vec<DenseMatrix> = it.collect();
-        (fulls, interiors)
+        (fulls, interiors, ghosts)
     }
 
-    /// One compressed forward exchange at `site` — or a stale-hit skip.
-    /// Returns the assembled propagation inputs and the interior
-    /// aggregation for the next layer, and settles all byte accounting
-    /// (`comm.halo_bytes` counts quantized wire bytes per (ghost,
-    /// reader) pair; the delta to the exact regime's `4·d` per pair goes
-    /// to `comm.bytes_saved`).
+    /// One compressed forward exchange at `site` — or a stale-hit skip
+    /// that assembles the propagation inputs from the site's ghost cache,
+    /// with no wire traffic at all. Returns the assembled inputs and the
+    /// interior aggregation for the next layer.
     fn exchange_compressed_fwd(
         &mut self,
         site: usize,
@@ -552,38 +519,23 @@ impl Runtime<'_> {
         d: usize,
     ) -> (Vec<DenseMatrix>, Vec<DenseMatrix>) {
         let t_exch = Instant::now();
-        let v = self.plan.halo_vectors();
-        let exact_bytes = v * 4 * d as u64;
-        let (mode, refresh) = {
-            let state = self.comm_state.as_mut().expect("compressed regime");
-            (state.mode, state.tick_refresh(site))
-        };
-        if refresh {
-            let xid = self.exchange_idx;
-            self.exchange_idx += 1;
-            let deqs = self.compress_blocks(site, outs);
-            let (mut ghosts, interiors) = self.ghosts_with_interior(&deqs, outs, d);
-            self.verify_ghosts(&mut ghosts, &deqs, xid, d);
-            let wire = v * wire_bytes_per_vector(mode, d);
-            HALO_VECTORS.add(v);
-            HALO_BYTES.add(wire);
-            BYTES_SAVED.add(exact_bytes - wire);
-            self.comm.halo_vectors += v;
-            self.comm.halo_bytes += wire;
-            let fulls = self.assemble_full(outs, &ghosts, d);
-            let state = self.comm_state.as_mut().expect("compressed regime");
-            state.bytes_saved += exact_bytes - wire;
-            state.cache[site] = ghosts;
+        let state = self.comm_state.as_mut().expect("compressed regime");
+        if state.tick_refresh(site) {
+            let (fulls, interiors, ghosts) = self.compressed_refresh(site, outs, d);
+            self.comm_state.as_mut().expect("compressed regime").cache[site] = ghosts;
             self.record_exchange_ns(t_exch);
-            (fulls, interiors)
-        } else {
-            STALE_HITS.add(v);
-            BYTES_SAVED.add(exact_bytes);
-            let state = self.comm_state.as_mut().expect("compressed regime");
-            state.stale_hits += v;
-            state.bytes_saved += exact_bytes;
-            self.stale_assemble_with_interior(site, outs, d)
+            return (fulls, interiors);
         }
+        let v = self.plan.halo_vectors();
+        STALE_HITS.add(v);
+        BYTES_SAVED.add(v * 4 * d as u64);
+        state.stale_hits += v;
+        state.bytes_saved += v * 4 * d as u64;
+        let (plan, cache) = (self.plan, &state.cache[site]);
+        let (fulls, interiors, _) = with_interior(plan, &state.op_interior, outs, d, |s| {
+            assemble(&plan.shards[s], &outs[s], d, |j| cache[s].row(j))
+        });
+        (fulls, interiors)
     }
 
     /// Compressed backward exchange for layer `i > 0`: error-feedback
@@ -598,65 +550,51 @@ impl Runtime<'_> {
         d: usize,
     ) -> Vec<DenseMatrix> {
         let t_exch = Instant::now();
-        let site = CommState::bwd_site(l, i);
-        let v = self.plan.halo_vectors();
-        let exact_bytes = v * 4 * d as u64;
-        let mode = self.comm_state.as_ref().expect("compressed regime").mode;
-        let xid = self.exchange_idx;
-        self.exchange_idx += 1;
-        let deqs = self.compress_blocks(site, d_ahs);
-        let (mut ghosts, interiors) = self.ghosts_with_interior(&deqs, d_ahs, d);
-        self.verify_ghosts(&mut ghosts, &deqs, xid, d);
-        let wire = v * wire_bytes_per_vector(mode, d);
-        HALO_VECTORS.add(v);
-        HALO_BYTES.add(wire);
-        BYTES_SAVED.add(exact_bytes - wire);
-        self.comm.halo_vectors += v;
-        self.comm.halo_bytes += wire;
-        self.comm_state.as_mut().expect("compressed regime").bytes_saved += exact_bytes - wire;
-        let fulls = self.assemble_full(d_ahs, &ghosts, d);
+        let (fulls, interiors, _) = self.compressed_refresh(CommState::bwd_site(l, i), d_ahs, d);
         self.record_exchange_ns(t_exch);
-        self.boundary_merge(&interiors, &fulls, d)
+        let this = &*self;
+        par_map_chunks(self.plan.k, |s| this.merge_boundary(s, &interiors[s], &fulls[s], d))
     }
 
-    /// Owned-row propagation from a precomputed interior part plus
-    /// boundary rows recomputed over the assembled inputs — row-for-row
-    /// the same kernel invocations as [`Runtime::propagate_owned`]: both
-    /// sub-operators carry *complete* rows of the local operator, so
-    /// every row goes through the unsplit SpMM kernel and keeps its
-    /// exact bit pattern.
-    fn boundary_merge(
+    /// Shard `s`'s owned-row propagation from its precomputed interior
+    /// part plus boundary rows recomputed over the assembled input
+    /// `full` — row-for-row the same kernel invocations as
+    /// [`Runtime::propagate_owned`]: both sub-operators carry *complete*
+    /// rows of the local operator, so every row goes through the unsplit
+    /// SpMM kernel and keeps its exact bit pattern.
+    fn merge_boundary(
         &self,
-        interiors: &[DenseMatrix],
-        fulls: &[DenseMatrix],
+        s: usize,
+        interior: &DenseMatrix,
+        full: &DenseMatrix,
         d: usize,
-    ) -> Vec<DenseMatrix> {
-        let plan = self.plan;
-        let state = self.comm_state.as_ref().expect("compressed regime");
-        let op_boundary = &state.op_boundary;
-        par_map_chunks(plan.k, |s| {
-            let shard = &plan.shards[s];
-            let mut out = interiors[s].clone();
-            let mut scratch = DenseMatrix::zeros(shard.n_local(), d);
-            spmm_into(&op_boundary[s], &fulls[s], &mut scratch);
-            for &r in shard.boundary_rows() {
-                out.row_mut(r as usize)
-                    .copy_from_slice(scratch.row(shard.owned_local[r as usize] as usize));
-            }
-            out
-        })
+    ) -> DenseMatrix {
+        let shard = &self.plan.shards[s];
+        let op_boundary = &self.comm_state.as_ref().expect("compressed regime").op_boundary;
+        let scratch = spmm_new(&op_boundary[s], full, shard.n_local(), d);
+        let mut out = interior.clone();
+        for &r in shard.boundary_rows() {
+            out.row_mut(r as usize)
+                .copy_from_slice(scratch.row(shard.owned_local[r as usize] as usize));
+        }
+        out
     }
 
-    /// Compressed training forward (DESIGN.md §11): layer 0 aggregates
-    /// from the feature slice exactly like the exact path; later layers
+    /// Training forward: per layer, a compute superstep (one pool task
+    /// per shard) followed by a halo-exchange superstep; the
+    /// `par_map_chunks` join is the BSP barrier. Returns per-shard
+    /// owned-row logits plus the caches backward needs (`Â·H` inputs and
+    /// ReLU masks).
+    ///
+    /// In the compressed regime (DESIGN.md §11) layers past the first
     /// merge the interior aggregation precomputed during the previous
     /// exchange with boundary rows recomputed over the assembled
     /// (quantized and possibly stale) inputs. The dense tail of every
-    /// layer — matmul, bias, ReLU, stateless dropout — is
-    /// element-for-element the exact path's code, which is why `F32`
-    /// quantization with staleness ≤ 1 reproduces it bitwise.
+    /// layer — matmul, bias, ReLU, stateless dropout — is the same code
+    /// in both regimes, which is why `F32` quantization with staleness
+    /// ≤ 1 reproduces the exact regime bitwise.
     #[allow(clippy::type_complexity)]
-    fn forward_compressed(
+    fn forward_train(
         &mut self,
         gcn: &Gcn,
         epoch: u64,
@@ -673,118 +611,27 @@ impl Runtime<'_> {
                 return (logits, x_caches, relu_masks);
             }
             let layer = gcn.layer(i);
-            let (w, b) = (&layer.w, &layer.b);
             let (d_in, d_out) = (self.dims[i], self.dims[i + 1]);
             let last = i + 1 == l;
             let cs = Dropout::call_seed(self.seed.wrapping_add(100 + i as u64), epoch);
             let p = self.p_drop;
-            let (plan, ctxs) = (self.plan, self.ctxs);
-            let op_boundary = &self.comm_state.as_ref().expect("compressed regime").op_boundary;
+            let this = &*self;
             let (h_ref, x_ref) = (&h_locals, &x_int);
             let results: Vec<(DenseMatrix, DenseMatrix, Vec<bool>)> = par_map_chunks(k, |s| {
-                let shard = &plan.shards[s];
                 let x_owned = if i == 0 {
-                    let mut scratch = DenseMatrix::zeros(shard.n_local(), d_in);
-                    spmm_into(&shard.op, &ctxs[s].features, &mut scratch);
-                    scratch.gather_rows(&ctxs[s].owned_rows)
+                    this.propagate_owned(s, &this.ctxs[s].features, d_in)
+                } else if this.comm_state.is_some() {
+                    this.merge_boundary(s, &x_ref[s], &h_ref[s], d_in)
                 } else {
-                    let mut x = x_ref[s].clone();
-                    let mut scratch = DenseMatrix::zeros(shard.n_local(), d_in);
-                    spmm_into(&op_boundary[s], &h_ref[s], &mut scratch);
-                    for &r in shard.boundary_rows() {
-                        x.row_mut(r as usize)
-                            .copy_from_slice(scratch.row(shard.owned_local[r as usize] as usize));
-                    }
-                    x
+                    this.propagate_owned(s, &h_ref[s], d_in)
                 };
-                let mut z = x_owned.matmul(w).expect("linear shapes");
-                for r in 0..z.rows() {
-                    vecops::axpy(1.0, b.row(0), z.row_mut(r));
-                }
-                let mut mask = Vec::new();
-                if !last {
-                    mask.reserve(z.rows() * d_out);
-                    for (r, &g) in shard.owned.iter().enumerate() {
-                        let row = z.row_mut(r);
-                        for (c, slot) in row.iter_mut().enumerate() {
-                            let v = *slot;
-                            mask.push(v > 0.0);
-                            *slot = v.max(0.0)
-                                * Dropout::element_scale(cs, p, g as u64 * d_out as u64 + c as u64);
-                        }
-                    }
-                }
-                (z, x_owned, mask)
-            });
-            let mut zs = Vec::with_capacity(k);
-            let mut xs = Vec::with_capacity(k);
-            let mut ms = Vec::with_capacity(k);
-            for (z, x, m) in results {
-                zs.push(z);
-                xs.push(x);
-                ms.push(m);
-            }
-            x_caches.push(xs);
-            if last {
-                logits = zs;
-            } else {
-                relu_masks.push(ms);
-                if self.poll_superstep() {
-                    return (logits, x_caches, relu_masks);
-                }
-                let (fulls, interiors) = self.exchange_compressed_fwd(i, &zs, d_out);
-                h_locals = fulls;
-                x_int = interiors;
-            }
-        }
-        (logits, x_caches, relu_masks)
-    }
-
-    /// Training forward: per layer, a compute superstep (one pool task
-    /// per shard) followed by a halo-exchange superstep; the
-    /// `par_map_chunks` join is the BSP barrier. Returns per-shard
-    /// owned-row logits plus the caches backward needs (`Â·H` inputs and
-    /// ReLU masks).
-    #[allow(clippy::type_complexity)]
-    fn forward_train(
-        &mut self,
-        gcn: &Gcn,
-        epoch: u64,
-    ) -> (Vec<DenseMatrix>, Vec<Vec<DenseMatrix>>, Vec<Vec<Vec<bool>>>) {
-        let l = self.num_layers();
-        let k = self.plan.k;
-        let mut x_caches: Vec<Vec<DenseMatrix>> = Vec::with_capacity(l);
-        let mut relu_masks: Vec<Vec<Vec<bool>>> = Vec::with_capacity(l.saturating_sub(1));
-        let mut h_locals: Vec<DenseMatrix> = Vec::new();
-        let mut logits: Vec<DenseMatrix> = Vec::new();
-        for i in 0..l {
-            if self.poll_superstep() {
-                return (logits, x_caches, relu_masks);
-            }
-            let layer = gcn.layer(i);
-            let (w, b) = (&layer.w, &layer.b);
-            let (d_in, d_out) = (self.dims[i], self.dims[i + 1]);
-            let last = i + 1 == l;
-            let cs = Dropout::call_seed(self.seed.wrapping_add(100 + i as u64), epoch);
-            let p = self.p_drop;
-            let (plan, ctxs) = (self.plan, self.ctxs);
-            let h_ref = &h_locals;
-            let results: Vec<(DenseMatrix, DenseMatrix, Vec<bool>)> = par_map_chunks(k, |s| {
-                let shard = &plan.shards[s];
-                let input = if i == 0 { &ctxs[s].features } else { &h_ref[s] };
-                let mut scratch = DenseMatrix::zeros(shard.n_local(), d_in);
-                spmm_into(&shard.op, input, &mut scratch);
-                let x_owned = scratch.gather_rows(&ctxs[s].owned_rows);
-                let mut z = x_owned.matmul(w).expect("linear shapes");
-                for r in 0..z.rows() {
-                    vecops::axpy(1.0, b.row(0), z.row_mut(r));
-                }
+                let mut z = affine(&x_owned, &layer.w, &layer.b);
                 let mut mask = Vec::new();
                 if !last {
                     // ReLU + stateless dropout, element-for-element the
                     // reference expressions, indexed by *global* row.
                     mask.reserve(z.rows() * d_out);
-                    for (r, &g) in shard.owned.iter().enumerate() {
+                    for (r, &g) in this.plan.shards[s].owned.iter().enumerate() {
                         let row = z.row_mut(r);
                         for (c, slot) in row.iter_mut().enumerate() {
                             let v = *slot;
@@ -796,14 +643,7 @@ impl Runtime<'_> {
                 }
                 (z, x_owned, mask)
             });
-            let mut zs = Vec::with_capacity(k);
-            let mut xs = Vec::with_capacity(k);
-            let mut ms = Vec::with_capacity(k);
-            for (z, x, m) in results {
-                zs.push(z);
-                xs.push(x);
-                ms.push(m);
-            }
+            let (zs, xs, ms) = unzip3(results);
             x_caches.push(xs);
             if last {
                 logits = zs;
@@ -812,7 +652,11 @@ impl Runtime<'_> {
                 if self.poll_superstep() {
                     return (logits, x_caches, relu_masks);
                 }
-                h_locals = self.exchange(&zs, d_out);
+                if self.comm_state.is_some() {
+                    (h_locals, x_int) = self.exchange_compressed_fwd(i, &zs, d_out);
+                } else {
+                    h_locals = self.exchange(&zs, d_out);
+                }
             }
         }
         (logits, x_caches, relu_masks)
@@ -840,12 +684,8 @@ impl Runtime<'_> {
             }
             (acc, dl)
         });
-        let mut loss_parts = Vec::with_capacity(parts.len());
-        let mut dls = Vec::with_capacity(parts.len());
-        for (a, d) in parts {
-            loss_parts.push(vec![a]);
-            dls.push(d);
-        }
+        let (loss_parts, dls): (Vec<Vec<i128>>, Vec<DenseMatrix>) =
+            parts.into_iter().map(|(a, d)| (vec![a], d)).unzip();
         let mut bytes = 0u64;
         let total = tree_allreduce(loss_parts, &mut bytes);
         ALLREDUCE_BYTES.add(bytes);
@@ -910,14 +750,7 @@ impl Runtime<'_> {
                 let d_ah = g.matmul(&wt).expect("linear shapes");
                 (d_ah, gw, gb)
             });
-            let mut d_ahs = Vec::with_capacity(k);
-            let mut gws = Vec::with_capacity(k);
-            let mut gbs = Vec::with_capacity(k);
-            for (d, gw, gb) in results {
-                d_ahs.push(d);
-                gws.push(gw);
-                gbs.push(gb);
-            }
+            let (d_ahs, gws, gbs) = unzip3(results);
             let mut bytes = 0u64;
             gw_tot[i] = tree_allreduce(gws, &mut bytes);
             gb_tot[i] = tree_allreduce(gbs, &mut bytes);
@@ -955,20 +788,13 @@ impl Runtime<'_> {
         let mut h_locals: Vec<DenseMatrix> = Vec::new();
         for i in 0..l {
             let layer = gcn.layer(i);
-            let (w, b) = (&layer.w, &layer.b);
             let (d_in, d_out) = (self.dims[i], self.dims[i + 1]);
             let last = i + 1 == l;
-            let (plan, ctxs) = (self.plan, self.ctxs);
+            let this = &*self;
             let h_ref = &h_locals;
             let results: Vec<DenseMatrix> = par_map_chunks(k, |s| {
-                let shard = &plan.shards[s];
-                let input = if i == 0 { &ctxs[s].features } else { &h_ref[s] };
-                let mut scratch = DenseMatrix::zeros(shard.n_local(), d_in);
-                spmm_into(&shard.op, input, &mut scratch);
-                let mut z = scratch.gather_rows(&ctxs[s].owned_rows).matmul(w).expect("shapes");
-                for r in 0..z.rows() {
-                    vecops::axpy(1.0, b.row(0), z.row_mut(r));
-                }
+                let input = if i == 0 { &this.ctxs[s].features } else { &h_ref[s] };
+                let mut z = affine(&this.propagate_owned(s, input, d_in), &layer.w, &layer.b);
                 if !last {
                     z.map_inplace(|v| v.max(0.0));
                 }
@@ -982,26 +808,15 @@ impl Runtime<'_> {
         unreachable!("models have at least one layer")
     }
 
-    /// Split accuracy from per-shard logits: integer hit counts summed
-    /// across shards over the global split size — the same division the
-    /// reference performs.
-    fn accuracy_of<F>(&self, logits: &[DenseMatrix], pick: F, total: usize) -> f64
-    where
-        F: Fn(&ShardCtx) -> &[(usize, usize)] + Sync,
-    {
-        if total == 0 {
-            return 0.0;
+    /// Publishes the effective halo compression ratio of the training
+    /// traffic so far: exact-equivalent ghost bytes over bytes moved
+    /// (×1000). Stale hits count as moved-for-free, so s > 1 pushes the
+    /// ratio beyond pure quantization.
+    fn record_compression_ratio(&self) {
+        if let Some(state) = &self.comm_state {
+            let moved = self.comm.halo_bytes.max(1);
+            COMPRESSION_RATIO.set((moved + state.bytes_saved).saturating_mul(1000) / moved);
         }
-        let ctxs = self.ctxs;
-        let hits: usize = par_map_chunks(self.plan.k, |s| {
-            pick(&ctxs[s])
-                .iter()
-                .filter(|&&(r, label)| vecops::argmax(logits[s].row(r)) == label)
-                .count()
-        })
-        .into_iter()
-        .sum();
-        hits as f64 / total as f64
     }
 }
 
@@ -1016,17 +831,16 @@ pub fn train_sharded_gcn(
 ) -> TrainResult<(Gcn, TrainReport, ShardStats)> {
     let n = ds.num_nodes();
     assert_eq!(part.parts.len(), n, "partition must cover the dataset");
-    ensure_classes(ds)?;
+    let mut run = EpochDriver::new(ds, cfg)?;
     let k = part.k;
-    let mut ledger = build_ledger(cfg);
     let t0 = Instant::now();
     let op = gcn_operator(&ds.graph);
     let op_bytes = op.nbytes();
-    ledger.try_alloc(op_bytes)?;
+    run.ledger.try_alloc(op_bytes)?;
     let plan = ShardPlan::build(&op, part).expect("operator covered by partition");
-    ledger.try_alloc(plan.nbytes())?;
+    run.ledger.try_alloc(plan.nbytes())?;
     drop(op);
-    ledger.free(op_bytes);
+    run.ledger.free(op_bytes);
 
     // Owned-rank lookup for translating split membership.
     let mut rank_of = vec![0u32; n];
@@ -1044,31 +858,17 @@ pub fn train_sharded_gcn(
                 owned_rows: shard.owned_local.iter().map(|&r| r as usize).collect(),
                 features: ds.features.gather_rows(&rows),
                 train: Vec::new(),
-                val: Vec::new(),
-                test: Vec::new(),
             }
         })
         .collect();
-    for (nodes, pick) in [(&ds.splits.train, 0usize), (&ds.splits.val, 1), (&ds.splits.test, 2)] {
-        let labels = ds.labels_of(nodes);
-        for (&u, &label) in nodes.iter().zip(&labels) {
-            let ctx = &mut ctxs[part.parts[u as usize] as usize];
-            let entry = (rank_of[u as usize] as usize, label);
-            match pick {
-                0 => ctx.train.push(entry),
-                1 => ctx.val.push(entry),
-                _ => ctx.test.push(entry),
-            }
-        }
+    for &u in &ds.splits.train {
+        let entry = (rank_of[u as usize] as usize, ds.labels[u as usize]);
+        ctxs[part.parts[u as usize] as usize].train.push(entry);
     }
-    ledger.try_alloc(ctxs.iter().map(|c| c.features.nbytes()).sum())?;
+    run.ledger.try_alloc(ctxs.iter().map(|c| c.features.nbytes()).sum())?;
     let precompute_secs = t0.elapsed().as_secs_f64();
 
-    let mut gcn = Gcn::new(
-        ds.feature_dim(),
-        ds.num_classes,
-        &GcnConfig { hidden: cfg.hidden.clone(), dropout: cfg.dropout, seed: cfg.seed },
-    );
+    let mut gcn = new_gcn(ds, cfg);
     let mut dims = vec![ds.feature_dim()];
     dims.extend_from_slice(&cfg.hidden);
     dims.push(ds.num_classes);
@@ -1083,7 +883,7 @@ pub fn train_sharded_gcn(
         .sum();
     let fx_bytes: usize =
         (0..l).map(|i| (dims[i] * dims[i + 1] + dims[i + 1]) * 16).sum::<usize>() * (k + 1);
-    ledger.try_transient(acts + fx_bytes + gcn.step_bytes(0, ds.feature_dim()))?;
+    run.ledger.try_transient(acts + fx_bytes + gcn.step_bytes(0, ds.feature_dim()))?;
     SKEW.record((plan.nnz_skew() * 1000.0) as u64);
 
     // Compressed-regime state: export lists, interior/boundary
@@ -1094,7 +894,7 @@ pub fn train_sharded_gcn(
         .compressed()
         .map(|(mode, staleness)| CommState::build(&plan, &dims, mode, staleness));
     if let Some(st) = &comm_state {
-        ledger.try_alloc(st.nbytes(&plan, &dims))?;
+        run.ledger.try_alloc(st.nbytes(&plan, &dims))?;
     }
 
     let mut rt = Runtime {
@@ -1113,65 +913,54 @@ pub fn train_sharded_gcn(
         comm_state,
         in_eval: false,
     };
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let mut stopper = EarlyStopper::new(cfg.patience);
-    let mut phases = PhaseBreakdown::new();
-    let mut final_loss = 0f32;
-    let mut epochs_run = 0usize;
-    let trainer_name = format!("gcn-shard-k{k}");
-    let start_epoch = apply_resume(
-        cfg,
-        &trainer_name,
-        &mut opt,
-        &mut gcn,
-        rt.comm_state.as_mut().map(|s| s as &mut dyn CkptSidecar),
-        &mut stopper,
-        &mut epochs_run,
-        &mut final_loss,
-    )?;
+    // Split accuracy from per-shard logits: each node's row read from its
+    // owning shard, integer hits over the global split size — the same
+    // division the reference performs.
+    let split_acc = |logits: &[DenseMatrix], nodes: &[NodeId]| {
+        let hit = |&&u: &&NodeId| {
+            let u = u as usize;
+            vecops::argmax(logits[part.parts[u] as usize].row(rank_of[u] as usize)) == ds.labels[u]
+        };
+        nodes.iter().filter(hit).count() as f64 / nodes.len().max(1) as f64
+    };
     let mut eval_comm = Comm::default();
     // Epochs executed by *this* run (excluding resumed-past ones), so
     // per-epoch communication stats stay honest after a resume.
     let mut session_epochs = 0usize;
-    let t1 = Instant::now();
-    for epoch in start_epoch..cfg.epochs {
-        poll_epoch_kill(cfg, epoch)?;
-        let _ep = sgnn_obs::span!("trainer.epoch");
-        epochs_run += 1;
-        session_epochs += 1;
-        let call = epoch as u64 + 1; // the reference model's dropout call number
-        let (loss, dl_owned, x_caches, relu_masks) = phases.time(Phase::Forward, || {
-            let (logits, x_caches, relu_masks) = if rt.comm_state.is_some() {
-                rt.forward_compressed(&gcn, call)
-            } else {
-                rt.forward_train(&gcn, call)
-            };
-            if rt.faulted() {
-                return (0.0, Vec::new(), x_caches, relu_masks);
-            }
-            let (loss, dl) = rt.loss_and_grad(&logits);
-            (loss, dl, x_caches, relu_masks)
-        });
-        if let Some(e) = rt.fault_error() {
-            return Err(e);
-        }
-        final_loss = loss;
-        phases.time(Phase::Backward, || {
-            rt.backward(&mut gcn, dl_owned, &x_caches, &relu_masks, call);
-        });
-        if let Some(e) = rt.fault_error() {
-            return Err(e);
-        }
-        phases.time(Phase::Step, || gcn.step(&mut opt));
-        let mut stop = false;
-        if cfg.patience.is_some() {
-            let before = rt.comm;
-            let val = phases.time(Phase::Eval, || {
-                rt.in_eval = true;
-                let logits = rt.inference_logits(&gcn);
-                rt.in_eval = false;
-                rt.accuracy_of(&logits, |c| &c.val, ds.splits.val.len())
+    let report = run.run(
+        format!("gcn-shard-k{k}"),
+        precompute_secs,
+        &mut gcn,
+        &mut rt,
+        |gcn, opt, rt, ep| {
+            session_epochs += 1;
+            let call = ep.index as u64 + 1; // the reference model's dropout call number
+            let (loss, dl_owned, x_caches, relu_masks) = ep.phases.time(Phase::Forward, || {
+                let (logits, x_caches, relu_masks) = rt.forward_train(gcn, call);
+                if rt.faulted() {
+                    return (0.0, Vec::new(), x_caches, relu_masks);
+                }
+                let (loss, dl) = rt.loss_and_grad(&logits);
+                (loss, dl, x_caches, relu_masks)
             });
+            if let Some(e) = rt.fault_error() {
+                return Err(e);
+            }
+            ep.phases.time(Phase::Backward, || {
+                rt.backward(gcn, dl_owned, &x_caches, &relu_masks, call);
+            });
+            if let Some(e) = rt.fault_error() {
+                return Err(e);
+            }
+            ep.phases.time(Phase::Step, || gcn.step(opt));
+            rt.record_compression_ratio();
+            Ok(Some(loss))
+        },
+        |gcn, rt, splits| {
+            let before = rt.comm;
+            rt.in_eval = true;
+            let logits = rt.inference_logits(gcn);
+            rt.in_eval = false;
             if let Some(e) = rt.fault_error() {
                 return Err(e);
             }
@@ -1180,57 +969,23 @@ pub fn train_sharded_gcn(
             eval_comm.halo_bytes += rt.comm.halo_bytes - before.halo_bytes;
             eval_comm.halo_vectors += rt.comm.halo_vectors - before.halo_vectors;
             rt.comm = before;
-            stop = stopper.should_stop(val);
-        }
-        maybe_checkpoint(
-            cfg,
-            &trainer_name,
-            epoch + 1,
-            final_loss,
-            &stopper,
-            stop,
-            &opt,
-            &mut gcn,
-            rt.comm_state.as_ref().map(|s| s as &dyn CkptSidecar),
-        )?;
-        sgnn_obs::mark_epoch(epoch as u64);
-        if stop {
-            break;
-        }
-    }
-    let train_secs = t1.elapsed().as_secs_f64();
-    let train_comm = rt.comm;
-    rt.in_eval = true;
-    let logits = rt.inference_logits(&gcn);
-    rt.in_eval = false;
-    if let Some(e) = rt.fault_error() {
-        return Err(e);
-    }
-    let val_acc = rt.accuracy_of(&logits, |c| &c.val, ds.splits.val.len());
-    let test_acc = rt.accuracy_of(&logits, |c| &c.test, ds.splits.test.len());
-    eval_comm.halo_bytes += rt.comm.halo_bytes - train_comm.halo_bytes;
-    eval_comm.halo_vectors += rt.comm.halo_vectors - train_comm.halo_vectors;
+            Ok(splits.iter().map(|s| split_acc(&logits, s)).collect())
+        },
+    )?;
     let epochs_div = session_epochs.max(1) as u64;
     let (bytes_saved, stale_hits, overlap_ns) = rt
         .comm_state
         .as_ref()
         .map(|s| (s.bytes_saved, s.stale_hits, s.overlap_ns))
         .unwrap_or((0, 0, 0));
-    if rt.comm_state.is_some() {
-        // Effective ratio of exact-equivalent ghost bytes to bytes moved
-        // (×1000); stale hits count as moved-for-free, so s > 1 pushes
-        // the ratio beyond pure quantization.
-        let moved = train_comm.halo_bytes.max(1);
-        COMPRESSION_RATIO.set((moved + bytes_saved).saturating_mul(1000) / moved);
-    }
     let stats = ShardStats {
         k,
-        epochs: epochs_run,
+        epochs: report.epochs_run,
         halo_vectors_per_exchange: plan.halo_vectors(),
         exchanges_per_epoch: 2 * (l as u64 - 1),
-        halo_bytes_per_epoch: train_comm.halo_bytes / epochs_div,
-        halo_vectors_per_epoch: train_comm.halo_vectors / epochs_div,
-        allreduce_bytes_per_epoch: train_comm.allreduce_bytes / epochs_div,
+        halo_bytes_per_epoch: rt.comm.halo_bytes / epochs_div,
+        halo_vectors_per_epoch: rt.comm.halo_vectors / epochs_div,
+        allreduce_bytes_per_epoch: rt.comm.allreduce_bytes / epochs_div,
         eval_halo_bytes: eval_comm.halo_bytes,
         nnz_skew: plan.nnz_skew(),
         replication_slots: plan.shards.iter().map(|s| s.n_local() as u64).sum(),
@@ -1238,18 +993,6 @@ pub fn train_sharded_gcn(
         halo_bytes_saved_per_epoch: bytes_saved / epochs_div,
         stale_hits,
         overlap_ns,
-    };
-    sgnn_obs::export_now();
-    let report = TrainReport {
-        name: format!("gcn-shard-k{k}"),
-        test_acc,
-        val_acc,
-        final_loss,
-        precompute_secs,
-        train_secs,
-        peak_mem_bytes: ledger.peak(),
-        epochs_run,
-        phases,
     };
     Ok((gcn, report, stats))
 }

@@ -1,5 +1,6 @@
-//! Training loops — one per scalability family, all producing a common
-//! [`TrainReport`] with accuracy, wall time, and peak-memory accounting.
+//! Training loops — one per scalability family, all run by one epoch
+//! driver and all producing a common [`TrainReport`] with accuracy, wall
+//! time, and peak-memory accounting.
 //!
 //! | trainer | family | survey anchor |
 //! |---|---|---|
@@ -9,6 +10,14 @@
 //! | [`train_saint`] | subgraph sampling | §3.3.2, GraphSAINT |
 //! | [`train_cluster_gcn`] | partition batches | §3.1.2, Cluster-GCN |
 //! | [`train_coarse`] | coarse-graph training | §3.3.4 |
+//! | [`crate::trainer_ext::train_history`] | historical embeddings | §3.3.2, HDSGNN/GNNAutoScale |
+//! | [`crate::trainer_ext::train_seignn`] | coarse-node-augmented batches | §3.2.3, SEIGNN |
+//! | [`crate::shard::train_sharded_gcn`] | shard-parallel full graph | §3.1.2, distributed full-batch |
+//!
+//! Each trainer supplies only its setup, a per-epoch step closure and an
+//! evaluation closure; `EpochDriver` owns everything between them —
+//! resume, kill polls, the `trainer.epoch` span, early stopping,
+//! checkpoints, the final evaluation and the report (DESIGN.md §8).
 
 use crate::ckpt::{ckpt_path, save_epoch, try_restore, CkptSidecar, ResumeState, SlotParams};
 use crate::error::{TrainError, TrainResult};
@@ -16,14 +25,16 @@ use crate::memory::{matrix_bytes, Ledger};
 use crate::models::decoupled::{DecoupledModel, PrecomputeMethod};
 use crate::models::gcn::{gcn_operator, Gcn, GcnConfig};
 use crate::models::sage::Sage;
+use crate::pipeline::BatchPipeline;
 use crate::shard_comm::CommRegime;
 use sgnn_data::Dataset;
 use sgnn_fault::FaultPlan;
-use sgnn_graph::NodeId;
+use sgnn_graph::{CsrGraph, NodeId};
 use sgnn_linalg::DenseMatrix;
 use sgnn_nn::loss::{accuracy, softmax_cross_entropy};
 use sgnn_nn::optim::Adam;
 use sgnn_obs::{Phase, PhaseBreakdown};
+use std::cell::OnceCell;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,9 +57,10 @@ pub struct TrainConfig {
     /// Seed for weights/sampling.
     pub seed: u64,
     /// Early stopping: stop after this many epochs without validation
-    /// improvement (`None` disables). Halts training in place — no
-    /// best-weight rollback — so values below ~10 can stop inside the
-    /// optimizer's warmup.
+    /// improvement (`None` disables). Applies to all nine trainers; each
+    /// scores validation with its own final-evaluation path. Halts
+    /// training in place — no best-weight rollback — so values below ~10
+    /// can stop inside the optimizer's warmup.
     pub patience: Option<usize>,
     /// Overlap batch sampling with compute via the
     /// [`crate::pipeline::BatchPipeline`] (mini-batch trainers only).
@@ -57,12 +69,14 @@ pub struct TrainConfig {
     pub prefetch: bool,
     /// Directory for rolling post-epoch checkpoints (one
     /// `<trainer>.ckpt` file per trainer, atomically replaced each
-    /// epoch). `None` disables checkpointing.
+    /// epoch). Applies to all nine trainers. `None` disables
+    /// checkpointing.
     pub ckpt_dir: Option<PathBuf>,
-    /// Checkpoint file to restore before training. A missing file is a
-    /// cold start (the killed-before-first-checkpoint case); a corrupt
-    /// or mismatched file is an error. Resumed runs reproduce the
-    /// uninterrupted run bit-for-bit (DESIGN.md §8).
+    /// Checkpoint file to restore before training, for any of the nine
+    /// trainers. A missing file is a cold start (the
+    /// killed-before-first-checkpoint case); a corrupt or mismatched file
+    /// is an error. Resumed runs reproduce the uninterrupted run
+    /// bit-for-bit (DESIGN.md §8).
     pub resume_from: Option<PathBuf>,
     /// Deterministic fault injector polled at epoch/superstep/batch
     /// boundaries (tests and chaos drills). `None` means no polls — and
@@ -100,106 +114,21 @@ impl Default for TrainConfig {
     }
 }
 
-/// Ledger with the effective budget: the tightest of the config budget,
-/// the fault plan's simulated budget, and `SGNN_MEM_BUDGET`.
-pub(crate) fn build_ledger(cfg: &TrainConfig) -> Ledger {
-    let plan_budget = cfg.fault_plan.as_ref().and_then(|p| p.budget()).map(|b| b as usize);
-    let explicit = match (cfg.mem_budget, plan_budget) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    };
-    Ledger::budgeted(explicit)
-}
-
-/// Guards the argmax paths: a dataset with zero classes would make every
-/// per-row argmax undefined. Checked once at trainer entry so the inner
-/// loops can assume `num_classes ≥ 1`.
-pub(crate) fn ensure_classes(ds: &Dataset) -> TrainResult<()> {
-    if ds.num_classes == 0 {
-        return Err(TrainError::EmptyLogits);
-    }
-    Ok(())
-}
-
-/// Polls the fault plan's epoch-kill site.
-pub(crate) fn poll_epoch_kill(cfg: &TrainConfig, epoch: usize) -> TrainResult<()> {
-    if let Some(plan) = &cfg.fault_plan {
-        if plan.poll_kill_epoch(epoch) {
-            return Err(TrainError::InjectedCrash { site: "epoch", at: epoch as u64 });
-        }
-    }
-    Ok(())
-}
-
-/// Loads `cfg.resume_from` (if set) into the optimizer/model and applies
-/// the recovered counters. Returns the epoch to resume at.
-pub(crate) fn apply_resume(
-    cfg: &TrainConfig,
-    trainer: &str,
-    opt: &mut Adam,
-    model: &mut dyn SlotParams,
-    sidecar: Option<&mut dyn CkptSidecar>,
-    stopper: &mut EarlyStopper,
-    epochs_run: &mut usize,
-    final_loss: &mut f32,
-) -> TrainResult<usize> {
-    let Some(path) = &cfg.resume_from else { return Ok(0) };
-    let Some(st) = try_restore(path, trainer, opt, model, sidecar)? else { return Ok(0) };
-    stopper.restore(st.stopper_best, st.stopper_bad);
-    *epochs_run = st.epoch_done;
-    *final_loss = st.final_loss;
-    // A run that already stopped early replays its break: no more epochs.
-    Ok(if st.stopped { usize::MAX } else { st.epoch_done })
-}
-
-/// Writes the rolling post-epoch checkpoint when `cfg.ckpt_dir` is set.
-pub(crate) fn maybe_checkpoint(
-    cfg: &TrainConfig,
-    trainer: &str,
-    epoch_done: usize,
-    final_loss: f32,
-    stopper: &EarlyStopper,
-    stopped: bool,
-    opt: &Adam,
-    model: &mut dyn SlotParams,
-    sidecar: Option<&dyn CkptSidecar>,
-) -> TrainResult<()> {
-    let Some(dir) = &cfg.ckpt_dir else { return Ok(()) };
-    let (best, bad) = stopper.state();
-    let state =
-        ResumeState { epoch_done, final_loss, stopper_best: best, stopper_bad: bad, stopped };
-    let bytes = save_epoch(&ckpt_path(dir, trainer), trainer, &state, opt, model, sidecar)?;
-    sgnn_fault::record_ckpt_bytes(bytes);
-    Ok(())
-}
-
-/// Validation-accuracy early stopper shared by the trainers.
-pub(crate) struct EarlyStopper {
+/// Validation-accuracy early stopper.
+struct EarlyStopper {
     patience: Option<usize>,
     best: f64,
     bad: usize,
 }
 
 impl EarlyStopper {
-    pub(crate) fn new(patience: Option<usize>) -> Self {
+    fn new(patience: Option<usize>) -> Self {
         EarlyStopper { patience, best: f64::NEG_INFINITY, bad: 0 }
-    }
-
-    /// `(best, bad)` for checkpointing.
-    pub(crate) fn state(&self) -> (f64, usize) {
-        (self.best, self.bad)
-    }
-
-    /// Restores checkpointed `(best, bad)` — bit-exact, so a resumed run
-    /// makes the same stop decisions as the uninterrupted one.
-    pub(crate) fn restore(&mut self, best: f64, bad: usize) {
-        self.best = best;
-        self.bad = bad;
     }
 
     /// Records a validation score; returns `true` when training should
     /// stop.
-    pub(crate) fn should_stop(&mut self, val: f64) -> bool {
+    fn should_stop(&mut self, val: f64) -> bool {
         let Some(p) = self.patience else { return false };
         if val > self.best + 1e-9 {
             self.best = val;
@@ -247,107 +176,321 @@ serde::impl_serialize!(TrainReport {
     phases
 });
 
-fn rows_of(nodes: &[NodeId]) -> Vec<usize> {
-    nodes.iter().map(|&u| u as usize).collect()
+/// What a trainer's step closure gets besides the model and optimizer:
+/// the epoch index, and the phase clock and memory ledger it charges.
+pub(crate) struct Epoch<'r> {
+    /// Zero-based epoch index.
+    pub(crate) index: usize,
+    pub(crate) phases: &'r mut PhaseBreakdown,
+    pub(crate) ledger: &'r mut Ledger,
+}
+
+/// Trainer-side state passed to the step and eval closures next to the
+/// model; the part of it that evolves across epochs rides in the
+/// checkpoint as a [`CkptSidecar`]. `()` for trainers with none.
+pub(crate) trait Sidecar {
+    fn sidecar(&mut self) -> Option<&mut dyn CkptSidecar>;
+}
+
+impl Sidecar for () {
+    fn sidecar(&mut self) -> Option<&mut dyn CkptSidecar> {
+        None
+    }
+}
+
+/// The one epoch loop behind every trainer. Built at trainer entry (so
+/// setup can charge [`ledger`](EpochDriver::ledger)), then
+/// [`run`](EpochDriver::run) with the trainer's model and closures.
+pub(crate) struct EpochDriver<'a> {
+    ds: &'a Dataset,
+    cfg: &'a TrainConfig,
+    /// Ledger with the effective budget: the tightest of the config
+    /// budget, the fault plan's simulated budget, and `SGNN_MEM_BUDGET`.
+    pub(crate) ledger: Ledger,
+}
+
+impl<'a> EpochDriver<'a> {
+    /// Rejects a dataset with zero classes — every per-row argmax would
+    /// be undefined — so the inner loops can assume `num_classes ≥ 1`.
+    pub(crate) fn new(ds: &'a Dataset, cfg: &'a TrainConfig) -> TrainResult<Self> {
+        if ds.num_classes == 0 {
+            return Err(TrainError::EmptyLogits);
+        }
+        let plan_budget = cfg.fault_plan.as_ref().and_then(|p| p.budget()).map(|b| b as usize);
+        let explicit = match (cfg.mem_budget, plan_budget) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        Ok(EpochDriver { ds, cfg, ledger: Ledger::budgeted(explicit) })
+    }
+
+    /// Trains `model` for the configured epochs and reports.
+    ///
+    /// `step` runs one epoch and returns the loss of its last trained
+    /// batch (`None` when no batch had a training node). `eval` returns
+    /// the accuracy on each given split; the driver calls it for the
+    /// validation split after every epoch when `patience` is set, and
+    /// once for validation and test after training. `name` labels the
+    /// report and the checkpoint file. `train_secs` spans resume and the
+    /// epochs, not setup or the final evaluation.
+    pub(crate) fn run<M, X, S, E>(
+        mut self,
+        name: String,
+        precompute_secs: f64,
+        model: &mut M,
+        extra: &mut X,
+        mut step: S,
+        mut eval: E,
+    ) -> TrainResult<TrainReport>
+    where
+        M: SlotParams,
+        X: Sidecar,
+        S: FnMut(&mut M, &mut Adam, &mut X, &mut Epoch<'_>) -> TrainResult<Option<f32>>,
+        E: FnMut(&M, &mut X, &[&[NodeId]]) -> TrainResult<Vec<f64>>,
+    {
+        let (cfg, splits) = (self.cfg, &self.ds.splits);
+        let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
+        let mut stopper = EarlyStopper::new(cfg.patience);
+        let mut phases = PhaseBreakdown::new();
+        let t1 = Instant::now();
+        let (start, mut epochs_run, mut final_loss) =
+            apply_resume(cfg, &name, &mut opt, model, extra.sidecar(), &mut stopper)?;
+        for epoch in start..cfg.epochs {
+            poll_epoch_kill(cfg, epoch)?;
+            let _ep = sgnn_obs::span!("trainer.epoch");
+            epochs_run += 1;
+            let mut ctx = Epoch { index: epoch, phases: &mut phases, ledger: &mut self.ledger };
+            if let Some(loss) = step(model, &mut opt, extra, &mut ctx)? {
+                final_loss = loss;
+            }
+            let mut stop = false;
+            if cfg.patience.is_some() {
+                let val = phases.time(Phase::Eval, || eval(model, extra, &[&splits.val]))?[0];
+                stop = stopper.should_stop(val);
+            }
+            let state = ResumeState {
+                epoch_done: epoch + 1,
+                final_loss,
+                stopper_best: stopper.best,
+                stopper_bad: stopper.bad,
+                stopped: stop,
+            };
+            maybe_checkpoint(cfg, &name, &state, &opt, model, extra.sidecar().map(|s| &*s))?;
+            sgnn_obs::mark_epoch(epoch as u64);
+            if stop {
+                break;
+            }
+        }
+        let train_secs = t1.elapsed().as_secs_f64();
+        let accs = eval(model, extra, &[&splits.val, &splits.test])?;
+        sgnn_obs::export_now();
+        Ok(TrainReport {
+            name,
+            test_acc: accs[1],
+            val_acc: accs[0],
+            final_loss,
+            precompute_secs,
+            train_secs,
+            peak_mem_bytes: self.ledger.peak(),
+            epochs_run,
+            phases,
+        })
+    }
+}
+
+/// Polls the fault plan's epoch-kill site.
+fn poll_epoch_kill(cfg: &TrainConfig, epoch: usize) -> TrainResult<()> {
+    if let Some(plan) = &cfg.fault_plan {
+        if plan.poll_kill_epoch(epoch) {
+            return Err(TrainError::InjectedCrash { site: "epoch", at: epoch as u64 });
+        }
+    }
+    Ok(())
+}
+
+/// Loads `cfg.resume_from` (if set) into the optimizer, model, sidecar
+/// and stopper. Returns `(start epoch, epochs run, last loss)`.
+fn apply_resume(
+    cfg: &TrainConfig,
+    trainer: &str,
+    opt: &mut Adam,
+    model: &mut dyn SlotParams,
+    sidecar: Option<&mut dyn CkptSidecar>,
+    stopper: &mut EarlyStopper,
+) -> TrainResult<(usize, usize, f32)> {
+    let Some(path) = &cfg.resume_from else { return Ok((0, 0, 0.0)) };
+    let Some(st) = try_restore(path, trainer, opt, model, sidecar)? else {
+        return Ok((0, 0, 0.0));
+    };
+    // Bit-exact, so a resumed run makes the same stop decisions.
+    (stopper.best, stopper.bad) = (st.stopper_best, st.stopper_bad);
+    // A run that already stopped early replays its break: no more epochs.
+    let start = if st.stopped { usize::MAX } else { st.epoch_done };
+    Ok((start, st.epoch_done, st.final_loss))
+}
+
+/// Writes the rolling post-epoch checkpoint when `cfg.ckpt_dir` is set.
+fn maybe_checkpoint(
+    cfg: &TrainConfig,
+    trainer: &str,
+    state: &ResumeState,
+    opt: &Adam,
+    model: &mut dyn SlotParams,
+    sidecar: Option<&dyn CkptSidecar>,
+) -> TrainResult<()> {
+    let Some(dir) = &cfg.ckpt_dir else { return Ok(()) };
+    let bytes = save_epoch(&ckpt_path(dir, trainer), trainer, state, opt, model, sidecar)?;
+    sgnn_fault::record_ckpt_bytes(bytes);
+    Ok(())
+}
+
+/// Runs one epoch's `n` batches through a [`BatchPipeline`]. `prepare`
+/// builds batch `b` — on the producer thread when pipelined — after the
+/// fault plan's producer-panic site for global batch `epoch·n + b` is
+/// polled (one restart is budgeted whenever a plan is armed); `consume`
+/// trains on it. The first `consume` error skips the remaining batches
+/// and is returned. Returns the seconds to charge to `Phase::Sample`.
+fn run_batches<T, P, C>(
+    cfg: &TrainConfig,
+    epoch: usize,
+    n: usize,
+    prepare: P,
+    mut consume: C,
+) -> TrainResult<f64>
+where
+    T: Send,
+    P: Fn(usize) -> T + Sync,
+    C: FnMut(usize, T) -> TrainResult<()>,
+{
+    let restarts = if cfg.fault_plan.is_some() { 1 } else { 0 };
+    let mut failed = None;
+    let secs = BatchPipeline::with_restarts(cfg.prefetch, restarts).run(
+        n,
+        |b| {
+            if let Some(plan) = &cfg.fault_plan {
+                if plan.poll_producer_panic(epoch * n + b) {
+                    panic!("injected: pipeline producer fault at batch {b}");
+                }
+            }
+            prepare(b)
+        },
+        |b, batch| {
+            if failed.is_none() {
+                failed = consume(b, batch).err();
+            }
+        },
+    );
+    failed.map_or(Ok(secs), Err)
+}
+
+/// Rows `nodes` of `m`, a matrix with one row per node.
+pub(crate) fn gather_nodes(m: &DenseMatrix, nodes: &[NodeId]) -> DenseMatrix {
+    m.gather_rows(&nodes.iter().map(|&u| u as usize).collect::<Vec<_>>())
+}
+
+/// `in_train[u]` is true for training-split nodes.
+pub(crate) fn train_mask(ds: &Dataset) -> Vec<bool> {
+    let mut in_train = vec![false; ds.num_nodes()];
+    for &u in &ds.splits.train {
+        in_train[u as usize] = true;
+    }
+    in_train
+}
+
+/// Local rows and labels of the training nodes in a batch whose row `l`
+/// is global node `nodes[l]`; ids past the mask (augmented coarse
+/// nodes) are never training nodes.
+pub(crate) fn local_train_rows(
+    nodes: &[NodeId],
+    in_train: &[bool],
+    ds: &Dataset,
+) -> (Vec<usize>, Vec<usize>) {
+    nodes
+        .iter()
+        .enumerate()
+        .filter(|&(_, &g)| in_train.get(g as usize) == Some(&true))
+        .map(|(local, &g)| (local, ds.labels[g as usize]))
+        .unzip()
+}
+
+/// The GCN every GCN-family trainer starts from.
+pub(crate) fn new_gcn(ds: &Dataset, cfg: &TrainConfig) -> Gcn {
+    let gcn_cfg = GcnConfig { hidden: cfg.hidden.clone(), dropout: cfg.dropout, seed: cfg.seed };
+    Gcn::new(ds.feature_dim(), ds.num_classes, &gcn_cfg)
+}
+
+/// One GCN training step on operator `op` and features `x`, with the
+/// loss over rows `rows` only: forward, gather, loss, scatter the
+/// gradient back, backward, optimizer step. Returns the loss.
+pub(crate) fn gcn_step(
+    gcn: &mut Gcn,
+    opt: &mut Adam,
+    phases: &mut PhaseBreakdown,
+    op: &CsrGraph,
+    x: &DenseMatrix,
+    rows: &[usize],
+    labels: &[usize],
+    weights: Option<&[f32]>,
+) -> f32 {
+    let (loss, dl_batch) = phases.time(Phase::Forward, || {
+        let logits = gcn.forward(op, x);
+        softmax_cross_entropy(&logits.gather_rows(rows), labels, weights)
+    });
+    phases.time(Phase::Backward, || {
+        let mut dl = DenseMatrix::zeros(x.rows(), dl_batch.cols());
+        dl.scatter_rows(rows, &dl_batch);
+        gcn.zero_grad();
+        gcn.backward(op, &dl);
+    });
+    phases.time(Phase::Step, || gcn.step(opt));
+    loss
+}
+
+/// Accuracy on each split of whole-graph `logits` (one row per node).
+pub(crate) fn split_accs(logits: &DenseMatrix, ds: &Dataset, splits: &[&[NodeId]]) -> Vec<f64> {
+    splits.iter().map(|s| accuracy(&gather_nodes(logits, s), &ds.labels_of(s))).collect()
+}
+
+/// Accuracy over `nodes`, scored 1024 at a time on the logits
+/// `logits_of` returns for each chunk.
+pub(crate) fn chunked_accuracy(
+    ds: &Dataset,
+    nodes: &[NodeId],
+    mut logits_of: impl FnMut(&[NodeId]) -> DenseMatrix,
+) -> f64 {
+    let mut correct = 0usize;
+    for chunk in nodes.chunks(1024) {
+        let labels = ds.labels_of(chunk);
+        let pred = logits_of(chunk).argmax_rows();
+        correct += pred.iter().zip(&labels).filter(|&(p, t)| p == t).count();
+    }
+    correct as f64 / nodes.len().max(1) as f64
 }
 
 /// Trains a full-batch GCN (experiment baseline).
 pub fn train_full_gcn(ds: &Dataset, cfg: &TrainConfig) -> TrainResult<(Gcn, TrainReport)> {
-    ensure_classes(ds)?;
-    let mut ledger = build_ledger(cfg);
+    let mut run = EpochDriver::new(ds, cfg)?;
     let t0 = Instant::now();
     let op = gcn_operator(&ds.graph);
     let precompute_secs = t0.elapsed().as_secs_f64();
-    ledger.try_alloc(op.nbytes())?;
-    ledger.try_alloc(ds.features.nbytes())?;
-    let mut gcn = Gcn::new(
-        ds.feature_dim(),
-        ds.num_classes,
-        &GcnConfig { hidden: cfg.hidden.clone(), dropout: cfg.dropout, seed: cfg.seed },
-    );
+    run.ledger.try_alloc(op.nbytes())?;
+    run.ledger.try_alloc(ds.features.nbytes())?;
+    let mut gcn = new_gcn(ds, cfg);
     // Full-batch training keeps every layer activation resident.
-    ledger.try_transient(gcn.step_bytes(ds.num_nodes(), ds.feature_dim()))?;
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let train_rows = rows_of(&ds.splits.train);
+    run.ledger.try_transient(gcn.step_bytes(ds.num_nodes(), ds.feature_dim()))?;
+    let train_rows: Vec<usize> = ds.splits.train.iter().map(|&u| u as usize).collect();
     let train_labels = ds.labels_of(&ds.splits.train);
-    let n = ds.num_nodes();
-    let t1 = Instant::now();
-    let mut final_loss = 0f32;
-    let mut stopper = EarlyStopper::new(cfg.patience);
-    let mut epochs_run = 0usize;
-    let mut phases = PhaseBreakdown::new();
-    let start_epoch = apply_resume(
-        cfg,
-        "gcn-full",
-        &mut opt,
-        &mut gcn,
-        None,
-        &mut stopper,
-        &mut epochs_run,
-        &mut final_loss,
-    )?;
-    for epoch in start_epoch..cfg.epochs {
-        poll_epoch_kill(cfg, epoch)?;
-        let _ep = sgnn_obs::span!("trainer.epoch");
-        epochs_run += 1;
-        let (loss, dl_batch) = phases.time(Phase::Forward, || {
-            let logits = gcn.forward(&op, &ds.features);
-            let batch = logits.gather_rows(&train_rows);
-            softmax_cross_entropy(&batch, &train_labels, None)
-        });
-        final_loss = loss;
-        phases.time(Phase::Backward, || {
-            let mut dl = DenseMatrix::zeros(n, ds.num_classes);
-            dl.scatter_rows(&train_rows, &dl_batch);
-            gcn.zero_grad();
-            gcn.backward(&op, &dl);
-        });
-        phases.time(Phase::Step, || gcn.step(&mut opt));
-        let mut stop = false;
-        if cfg.patience.is_some() {
-            let val = phases.time(Phase::Eval, || {
-                let logits = gcn.forward_inference(&op, &ds.features);
-                accuracy(
-                    &logits.gather_rows(&rows_of(&ds.splits.val)),
-                    &ds.labels_of(&ds.splits.val),
-                )
-            });
-            stop = stopper.should_stop(val);
-        }
-        maybe_checkpoint(
-            cfg,
-            "gcn-full",
-            epoch + 1,
-            final_loss,
-            &stopper,
-            stop,
-            &opt,
-            &mut gcn,
-            None,
-        )?;
-        sgnn_obs::mark_epoch(epoch as u64);
-        if stop {
-            break;
-        }
-    }
-    let train_secs = t1.elapsed().as_secs_f64();
-    let logits = gcn.forward_inference(&op, &ds.features);
-    let val_acc =
-        accuracy(&logits.gather_rows(&rows_of(&ds.splits.val)), &ds.labels_of(&ds.splits.val));
-    let test_acc =
-        accuracy(&logits.gather_rows(&rows_of(&ds.splits.test)), &ds.labels_of(&ds.splits.test));
-    sgnn_obs::export_now();
-    let report = TrainReport {
-        name: "gcn-full".into(),
-        test_acc,
-        val_acc,
-        final_loss,
+    let report = run.run(
+        "gcn-full".into(),
         precompute_secs,
-        train_secs,
-        peak_mem_bytes: ledger.peak(),
-        epochs_run,
-        phases,
-    };
+        &mut gcn,
+        &mut (),
+        |gcn, opt, _, ep| {
+            let x = &ds.features;
+            Ok(Some(gcn_step(gcn, opt, ep.phases, &op, x, &train_rows, &train_labels, None)))
+        },
+        |gcn, _, splits| Ok(split_accs(&gcn.forward_inference(&op, &ds.features), ds, splits)),
+    )?;
     Ok((gcn, report))
 }
 
@@ -357,60 +500,19 @@ pub fn train_decoupled(
     method: &PrecomputeMethod,
     cfg: &TrainConfig,
 ) -> TrainResult<(DecoupledModel, TrainReport)> {
-    ensure_classes(ds)?;
-    let mut ledger = build_ledger(cfg);
+    let mut run = EpochDriver::new(ds, cfg)?;
     let t0 = Instant::now();
-    let mut model = DecoupledModel::new(ds, method, &cfg.hidden, cfg.dropout, cfg.seed);
+    let DecoupledModel { embedding, mut mlp } =
+        DecoupledModel::new(ds, method, &cfg.hidden, cfg.dropout, cfg.seed);
     let precompute_secs = t0.elapsed().as_secs_f64();
     // The embedding is the only graph-scale resident object; training
     // touches batch-sized slices.
-    ledger.try_alloc(model.embedding.nbytes())?;
-    ledger.try_transient(
-        matrix_bytes(cfg.batch_size, model.embedding.cols())
+    run.ledger.try_alloc(embedding.nbytes())?;
+    run.ledger.try_transient(
+        matrix_bytes(cfg.batch_size, embedding.cols())
             + matrix_bytes(cfg.batch_size, ds.num_classes)
-            + model.mlp.nbytes(),
+            + mlp.nbytes(),
     )?;
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let t1 = Instant::now();
-    let mut final_loss = 0f32;
-    let mut stopper = EarlyStopper::new(cfg.patience);
-    let mut epochs_run = 0usize;
-    let mut phases = PhaseBreakdown::new();
-    for epoch in 0..cfg.epochs {
-        poll_epoch_kill(cfg, epoch)?;
-        let _ep = sgnn_obs::span!("trainer.epoch");
-        epochs_run += 1;
-        for chunk in ds.splits.train.chunks(cfg.batch_size) {
-            let x = phases.time(Phase::Sample, || {
-                let rows = rows_of(chunk);
-                model.embedding.gather_rows(&rows)
-            });
-            let (loss, dl) = phases.time(Phase::Forward, || {
-                let logits = model.mlp.forward(&x);
-                softmax_cross_entropy(&logits, &ds.labels_of(chunk), None)
-            });
-            final_loss = loss;
-            phases.time(Phase::Backward, || {
-                model.mlp.zero_grad();
-                model.mlp.backward(&dl);
-            });
-            phases.time(Phase::Step, || model.mlp.step(&mut opt));
-        }
-        let mut stop = false;
-        if cfg.patience.is_some() {
-            let val = phases.time(Phase::Eval, || {
-                accuracy(&model.logits_for(&ds.splits.val), &ds.labels_of(&ds.splits.val))
-            });
-            stop = stopper.should_stop(val);
-        }
-        sgnn_obs::mark_epoch(epoch as u64);
-        if stop {
-            break;
-        }
-    }
-    let train_secs = t1.elapsed().as_secs_f64();
-    let val_acc = accuracy(&model.logits_for(&ds.splits.val), &ds.labels_of(&ds.splits.val));
-    let test_acc = accuracy(&model.logits_for(&ds.splits.test), &ds.labels_of(&ds.splits.test));
     let name = match method {
         PrecomputeMethod::None => "mlp-raw".to_string(),
         PrecomputeMethod::Sgc { k } => format!("sgc-k{k}"),
@@ -419,19 +521,33 @@ pub fn train_decoupled(
         PrecomputeMethod::Heat { .. } => "heat".to_string(),
         PrecomputeMethod::Ld2(_) => "ld2".to_string(),
     };
-    sgnn_obs::export_now();
-    let report = TrainReport {
+    let report = run.run(
         name,
-        test_acc,
-        val_acc,
-        final_loss,
         precompute_secs,
-        train_secs,
-        peak_mem_bytes: ledger.peak(),
-        epochs_run,
-        phases,
-    };
-    Ok((model, report))
+        &mut mlp,
+        &mut (),
+        |mlp, opt, _, ep| {
+            let mut last = None;
+            for chunk in ds.splits.train.chunks(cfg.batch_size) {
+                let x = ep.phases.time(Phase::Sample, || gather_nodes(&embedding, chunk));
+                let (loss, dl) = ep.phases.time(Phase::Forward, || {
+                    softmax_cross_entropy(&mlp.forward(&x), &ds.labels_of(chunk), None)
+                });
+                ep.phases.time(Phase::Backward, || {
+                    mlp.zero_grad();
+                    mlp.backward(&dl);
+                });
+                ep.phases.time(Phase::Step, || mlp.step(opt));
+                last = Some(loss);
+            }
+            Ok(last)
+        },
+        |mlp, _, splits| {
+            let logits = |s: &[NodeId]| mlp.forward_inference(&gather_nodes(&embedding, s));
+            Ok(splits.iter().map(|s| accuracy(&logits(s), &ds.labels_of(s))).collect())
+        },
+    )?;
+    Ok((DecoupledModel { embedding, mlp }, report))
 }
 
 /// Neighbor-sampling strategy for [`train_sampled`].
@@ -474,9 +590,8 @@ pub fn train_sampled(
     sampler: &SamplerKind,
     cfg: &TrainConfig,
 ) -> TrainResult<(Sage, TrainReport)> {
-    ensure_classes(ds)?;
-    let mut ledger = build_ledger(cfg);
-    ledger.try_alloc(ds.features.nbytes())?; // feature store stays host-side resident
+    let mut run = EpochDriver::new(ds, cfg)?;
+    run.ledger.try_alloc(ds.features.nbytes())?; // feature store stays host-side resident
     let mut dims = vec![ds.feature_dim()];
     dims.extend_from_slice(&cfg.hidden);
     dims.push(ds.num_classes);
@@ -487,106 +602,64 @@ pub fn train_sampled(
         SamplerKind::Labor(_) => "sage-labor",
     };
     let mut sage = Sage::new(&dims, cfg.seed);
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let t1 = Instant::now();
-    let mut final_loss = 0f32;
-    let mut max_batch_bytes = 0usize;
-    let mut phases = PhaseBreakdown::new();
-    let pipe = crate::pipeline::BatchPipeline::with_restarts(
-        cfg.prefetch,
-        if cfg.fault_plan.is_some() { 1 } else { 0 },
-    );
     let chunks: Vec<&[NodeId]> = ds.splits.train.chunks(cfg.batch_size).collect();
-    let mut stopper = EarlyStopper::new(None);
-    let mut epochs_run = 0usize;
-    let start_epoch = apply_resume(
-        cfg,
-        name,
-        &mut opt,
-        &mut sage,
-        None,
-        &mut stopper,
-        &mut epochs_run,
-        &mut final_loss,
-    )?;
-    for epoch in start_epoch..cfg.epochs {
-        poll_epoch_kill(cfg, epoch)?;
-        let _ep = sgnn_obs::span!("trainer.epoch");
-        epochs_run += 1;
-        let sample_secs = pipe.run(
-            chunks.len(),
-            |bi| {
-                if let Some(plan) = &cfg.fault_plan {
-                    if plan.poll_producer_panic(epoch * chunks.len() + bi) {
-                        panic!("injected: pipeline producer fault at batch {bi}");
-                    }
-                }
-                let seed =
-                    cfg.seed.wrapping_add((epoch * 10_000 + bi) as u64).wrapping_mul(0x9E37_79B9);
-                let blocks = sampler.sample(&ds.graph, chunks[bi], seed);
-                let src_rows = rows_of(&blocks[0].src);
-                let x_in = ds.features.gather_rows(&src_rows);
-                (blocks, x_in)
-            },
-            |bi, (blocks, x_in)| {
-                // Batch-resident: input features + per-layer activations
-                // (≈2× input) + block structure.
-                let batch_bytes =
-                    3 * x_in.nbytes() + blocks.iter().map(|b| b.nbytes()).sum::<usize>();
-                max_batch_bytes = max_batch_bytes.max(batch_bytes);
-                let (loss, dl) = phases.time(Phase::Forward, || {
-                    let logits = sage.forward(&blocks, &x_in);
-                    softmax_cross_entropy(&logits, &ds.labels_of(chunks[bi]), None)
-                });
-                final_loss = loss;
-                phases.time(Phase::Backward, || {
-                    sage.zero_grad();
-                    sage.backward(&blocks, &dl);
-                });
-                phases.time(Phase::Step, || sage.step(&mut opt));
-            },
-        );
-        phases.add(Phase::Sample, sample_secs);
-        maybe_checkpoint(cfg, name, epoch + 1, final_loss, &stopper, false, &opt, &mut sage, None)?;
-        sgnn_obs::mark_epoch(epoch as u64);
-    }
     // The double buffer keeps at most one prefetched batch alive next to
     // the one being computed.
-    ledger.try_transient(if pipe.is_pipelined() {
-        2 * max_batch_bytes
-    } else {
-        max_batch_bytes
-    })?;
-    let train_secs = t1.elapsed().as_secs_f64();
-    // Evaluate with wide fanouts for near-exact aggregation.
-    let eval = |nodes: &[NodeId]| -> f64 {
-        let wide = vec![25usize; sampler.layers()];
-        let mut correct = 0usize;
-        for chunk in nodes.chunks(1024) {
-            let blocks = sgnn_sample::node_wise::sample_blocks(&ds.graph, chunk, &wide, 123_456);
-            let src_rows = rows_of(&blocks[0].src);
-            let x_in = ds.features.gather_rows(&src_rows);
-            let logits = sage.forward_inference(&blocks, &x_in);
-            let labels = ds.labels_of(chunk);
-            correct +=
-                logits.argmax_rows().iter().zip(labels.iter()).filter(|&(p, t)| p == t).count();
-        }
-        correct as f64 / nodes.len().max(1) as f64
-    };
-    let val_acc = eval(&ds.splits.val);
-    let test_acc = eval(&ds.splits.test);
-    sgnn_obs::export_now();
-    let report = TrainReport {
-        name: name.into(),
-        test_acc,
-        val_acc,
-        final_loss,
-        precompute_secs: 0.0,
-        train_secs,
-        peak_mem_bytes: ledger.peak(),
-        epochs_run,
-        phases,
-    };
+    let buffered = if BatchPipeline::new(cfg.prefetch).is_pipelined() { 2 } else { 1 };
+    let report = run.run(
+        name.into(),
+        0.0,
+        &mut sage,
+        &mut (),
+        |sage, opt, _, ep| {
+            let epoch = ep.index;
+            let mut last = None;
+            let sample_secs = run_batches(
+                cfg,
+                epoch,
+                chunks.len(),
+                |bi| {
+                    let seed = cfg
+                        .seed
+                        .wrapping_add((epoch * 10_000 + bi) as u64)
+                        .wrapping_mul(0x9E37_79B9);
+                    let blocks = sampler.sample(&ds.graph, chunks[bi], seed);
+                    let x_in = gather_nodes(&ds.features, &blocks[0].src);
+                    (blocks, x_in)
+                },
+                |bi, (blocks, x_in)| {
+                    // Batch-resident: input features + per-layer
+                    // activations (≈2× input) + block structure.
+                    let batch_bytes =
+                        3 * x_in.nbytes() + blocks.iter().map(|b| b.nbytes()).sum::<usize>();
+                    ep.ledger.try_transient(buffered * batch_bytes)?;
+                    let (loss, dl) = ep.phases.time(Phase::Forward, || {
+                        let logits = sage.forward(&blocks, &x_in);
+                        softmax_cross_entropy(&logits, &ds.labels_of(chunks[bi]), None)
+                    });
+                    ep.phases.time(Phase::Backward, || {
+                        sage.zero_grad();
+                        sage.backward(&blocks, &dl);
+                    });
+                    ep.phases.time(Phase::Step, || sage.step(opt));
+                    last = Some(loss);
+                    Ok(())
+                },
+            )?;
+            ep.phases.add(Phase::Sample, sample_secs);
+            Ok(last)
+        },
+        |sage, _, splits| {
+            // Evaluate with wide fanouts for near-exact aggregation.
+            let wide = vec![25usize; sampler.layers()];
+            let logits_of = |chunk: &[NodeId]| {
+                let blocks =
+                    sgnn_sample::node_wise::sample_blocks(&ds.graph, chunk, &wide, 123_456);
+                sage.forward_inference(&blocks, &gather_nodes(&ds.features, &blocks[0].src))
+            };
+            Ok(splits.iter().map(|s| chunked_accuracy(ds, s, logits_of)).collect())
+        },
+    )?;
     Ok((sage, report))
 }
 
@@ -597,9 +670,8 @@ pub fn train_saint(
     batches_per_epoch: usize,
     cfg: &TrainConfig,
 ) -> TrainResult<(Gcn, TrainReport)> {
-    ensure_classes(ds)?;
-    let mut ledger = build_ledger(cfg);
-    ledger.try_alloc(ds.features.nbytes())?;
+    let mut run = EpochDriver::new(ds, cfg)?;
+    run.ledger.try_alloc(ds.features.nbytes())?;
     let t0 = Instant::now();
     let norms = sgnn_sample::saint::estimate_norms(&ds.graph, sampler, 20, cfg.seed);
     let precompute_secs = t0.elapsed().as_secs_f64();
@@ -608,117 +680,53 @@ pub fn train_saint(
         sgnn_sample::SaintSampler::Edge { .. } => "edge",
         sgnn_sample::SaintSampler::RandomWalk { .. } => "rw",
     };
-    let name = format!("saint-{sampler_name}");
-    let mut gcn = Gcn::new(
-        ds.feature_dim(),
-        ds.num_classes,
-        &GcnConfig { hidden: cfg.hidden.clone(), dropout: cfg.dropout, seed: cfg.seed },
-    );
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let mut in_train = vec![false; ds.num_nodes()];
-    for &u in &ds.splits.train {
-        in_train[u as usize] = true;
-    }
-    let t1 = Instant::now();
-    let mut final_loss = 0f32;
-    let mut max_batch = 0usize;
-    let mut phases = PhaseBreakdown::new();
-    let pipe = crate::pipeline::BatchPipeline::with_restarts(
-        cfg.prefetch,
-        if cfg.fault_plan.is_some() { 1 } else { 0 },
-    );
-    let mut stopper = EarlyStopper::new(None);
-    let mut epochs_run = 0usize;
-    let start_epoch = apply_resume(
-        cfg,
-        &name,
-        &mut opt,
-        &mut gcn,
-        None,
-        &mut stopper,
-        &mut epochs_run,
-        &mut final_loss,
-    )?;
-    for epoch in start_epoch..cfg.epochs {
-        poll_epoch_kill(cfg, epoch)?;
-        let _ep = sgnn_obs::span!("trainer.epoch");
-        epochs_run += 1;
-        let sample_secs = pipe.run(
-            batches_per_epoch,
-            |b| {
-                if let Some(plan) = &cfg.fault_plan {
-                    if plan.poll_producer_panic(epoch * batches_per_epoch + b) {
-                        panic!("injected: pipeline producer fault at batch {b}");
-                    }
-                }
-                let seed = cfg.seed.wrapping_add((epoch * 1_000 + b) as u64 + 17);
-                let mut sub = sgnn_sample::saint::sample_subgraph(&ds.graph, sampler, seed);
-                sgnn_sample::saint::apply_norms(&mut sub, &norms);
-                let op = gcn_operator(&sub.graph);
-                let rows = rows_of(&sub.nodes);
-                let x = ds.features.gather_rows(&rows);
-                // Only training nodes in the subgraph contribute to the loss.
-                let mut idx = Vec::new();
-                let mut labels = Vec::new();
-                let mut weights = Vec::new();
-                for (local, &g) in sub.nodes.iter().enumerate() {
-                    if in_train[g as usize] {
-                        idx.push(local);
-                        labels.push(ds.labels[g as usize]);
-                        weights.push(sub.loss_weights[local]);
-                    }
-                }
-                (op, x, idx, labels, weights)
-            },
-            |_, (op, x, idx, labels, weights)| {
-                // Batch residency: the subgraph operator and gathered
-                // features are live alongside the layer activations.
-                max_batch = max_batch
-                    .max(op.nbytes() + x.nbytes() + gcn.step_bytes(x.rows(), ds.feature_dim()));
-                if idx.is_empty() {
-                    return;
-                }
-                let n_sub = x.rows();
-                let (loss, dl_batch) = phases.time(Phase::Forward, || {
-                    let logits = gcn.forward(&op, &x);
-                    let batch_logits = logits.gather_rows(&idx);
-                    softmax_cross_entropy(&batch_logits, &labels, Some(&weights))
-                });
-                final_loss = loss;
-                phases.time(Phase::Backward, || {
-                    let mut dl = DenseMatrix::zeros(n_sub, ds.num_classes);
-                    dl.scatter_rows(&idx, &dl_batch);
-                    gcn.zero_grad();
-                    gcn.backward(&op, &dl);
-                });
-                phases.time(Phase::Step, || gcn.step(&mut opt));
-            },
-        );
-        phases.add(Phase::Sample, sample_secs);
-        maybe_checkpoint(cfg, &name, epoch + 1, final_loss, &stopper, false, &opt, &mut gcn, None)?;
-        sgnn_obs::mark_epoch(epoch as u64);
-    }
-    ledger.try_transient(max_batch)?;
-    let train_secs = t1.elapsed().as_secs_f64();
-    // Full-graph inference for evaluation.
-    let op = gcn_operator(&ds.graph);
-    let logits = gcn.forward_inference(&op, &ds.features);
-    let val_acc =
-        accuracy(&logits.gather_rows(&rows_of(&ds.splits.val)), &ds.labels_of(&ds.splits.val));
-    let test_acc =
-        accuracy(&logits.gather_rows(&rows_of(&ds.splits.test)), &ds.labels_of(&ds.splits.test));
-    sgnn_obs::export_now();
-    let report = TrainReport {
-        name,
-        test_acc,
-        val_acc,
-        final_loss,
+    let mut gcn = new_gcn(ds, cfg);
+    let in_train = train_mask(ds);
+    // Full-graph inference for evaluation, built on first use.
+    let full_op = OnceCell::new();
+    let report = run.run(
+        format!("saint-{sampler_name}"),
         precompute_secs,
-        train_secs,
-        peak_mem_bytes: ledger.peak(),
-        epochs_run,
-        phases,
-    };
+        &mut gcn,
+        &mut (),
+        |gcn, opt, _, ep| {
+            let epoch = ep.index;
+            let mut last = None;
+            let sample_secs = run_batches(
+                cfg,
+                epoch,
+                batches_per_epoch,
+                |b| {
+                    let seed = cfg.seed.wrapping_add((epoch * 1_000 + b) as u64 + 17);
+                    let mut sub = sgnn_sample::saint::sample_subgraph(&ds.graph, sampler, seed);
+                    sgnn_sample::saint::apply_norms(&mut sub, &norms);
+                    let op = gcn_operator(&sub.graph);
+                    let x = gather_nodes(&ds.features, &sub.nodes);
+                    // Only training nodes in the subgraph contribute to the loss.
+                    let (idx, labels) = local_train_rows(&sub.nodes, &in_train, ds);
+                    let weights: Vec<f32> = idx.iter().map(|&l| sub.loss_weights[l]).collect();
+                    (op, x, idx, labels, weights)
+                },
+                |_, (op, x, idx, labels, weights)| {
+                    // Batch residency: the subgraph operator and gathered
+                    // features are live alongside the layer activations.
+                    let acts = gcn.step_bytes(x.rows(), ds.feature_dim());
+                    ep.ledger.try_transient(op.nbytes() + x.nbytes() + acts)?;
+                    if !idx.is_empty() {
+                        let w = Some(weights.as_slice());
+                        last = Some(gcn_step(gcn, opt, ep.phases, &op, &x, &idx, &labels, w));
+                    }
+                    Ok(())
+                },
+            )?;
+            ep.phases.add(Phase::Sample, sample_secs);
+            Ok(last)
+        },
+        |gcn, _, splits| {
+            let op = full_op.get_or_init(|| gcn_operator(&ds.graph));
+            Ok(split_accs(&gcn.forward_inference(op, &ds.features), ds, splits))
+        },
+    )?;
     Ok((gcn, report))
 }
 
@@ -729,132 +737,59 @@ pub fn train_cluster_gcn(
     clusters_per_batch: usize,
     cfg: &TrainConfig,
 ) -> TrainResult<(Gcn, TrainReport)> {
-    ensure_classes(ds)?;
-    let mut ledger = build_ledger(cfg);
-    ledger.try_alloc(ds.features.nbytes())?;
+    let mut run = EpochDriver::new(ds, cfg)?;
+    run.ledger.try_alloc(ds.features.nbytes())?;
     let t0 = Instant::now();
     let batcher = sgnn_partition::cluster::ClusterBatcher::new(&ds.graph, num_clusters, cfg.seed);
     let precompute_secs = t0.elapsed().as_secs_f64();
-    let mut gcn = Gcn::new(
-        ds.feature_dim(),
-        ds.num_classes,
-        &GcnConfig { hidden: cfg.hidden.clone(), dropout: cfg.dropout, seed: cfg.seed },
-    );
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let mut in_train = vec![false; ds.num_nodes()];
-    for &u in &ds.splits.train {
-        in_train[u as usize] = true;
-    }
-    let t1 = Instant::now();
-    let mut final_loss = 0f32;
-    let mut max_batch = 0usize;
-    let mut phases = PhaseBreakdown::new();
-    let pipe = crate::pipeline::BatchPipeline::with_restarts(
-        cfg.prefetch,
-        if cfg.fault_plan.is_some() { 1 } else { 0 },
-    );
-    let mut stopper = EarlyStopper::new(None);
-    let mut epochs_run = 0usize;
-    let start_epoch = apply_resume(
-        cfg,
-        "cluster-gcn",
-        &mut opt,
-        &mut gcn,
-        None,
-        &mut stopper,
-        &mut epochs_run,
-        &mut final_loss,
-    )?;
-    for epoch in start_epoch..cfg.epochs {
-        poll_epoch_kill(cfg, epoch)?;
-        let _ep = sgnn_obs::span!("trainer.epoch");
-        epochs_run += 1;
-        // Partition assignment is one epoch-level shuffle, not per-batch
-        // work — it stays inline; only per-batch operator/feature
-        // construction rides the prefetch pipeline.
-        let batches = phases.time(Phase::Sample, || {
-            batcher.epoch_batches(&ds.graph, clusters_per_batch, cfg.seed + epoch as u64)
-        });
-        let sample_secs = pipe.run(
-            batches.len(),
-            |b| {
-                if let Some(plan) = &cfg.fault_plan {
-                    if plan.poll_producer_panic(epoch * batches.len() + b) {
-                        panic!("injected: pipeline producer fault at batch {b}");
-                    }
-                }
-                let batch = &batches[b];
-                let op = gcn_operator(&batch.graph);
-                let rows = rows_of(&batch.nodes);
-                let x = ds.features.gather_rows(&rows);
-                let mut idx = Vec::new();
-                let mut labels = Vec::new();
-                for (local, &g) in batch.nodes.iter().enumerate() {
-                    if in_train[g as usize] {
-                        idx.push(local);
-                        labels.push(ds.labels[g as usize]);
-                    }
-                }
-                (op, x, idx, labels)
-            },
-            |_, (op, x, idx, labels)| {
-                // Batch residency: the partition's operator and gathered
-                // features are live alongside the layer activations.
-                let n_sub = x.rows();
-                max_batch = max_batch
-                    .max(op.nbytes() + x.nbytes() + gcn.step_bytes(n_sub, ds.feature_dim()));
-                if idx.is_empty() {
-                    return;
-                }
-                let (loss, dl_batch) = phases.time(Phase::Forward, || {
-                    let logits = gcn.forward(&op, &x);
-                    let batch_logits = logits.gather_rows(&idx);
-                    softmax_cross_entropy(&batch_logits, &labels, None)
-                });
-                final_loss = loss;
-                phases.time(Phase::Backward, || {
-                    let mut dl = DenseMatrix::zeros(n_sub, ds.num_classes);
-                    dl.scatter_rows(&idx, &dl_batch);
-                    gcn.zero_grad();
-                    gcn.backward(&op, &dl);
-                });
-                phases.time(Phase::Step, || gcn.step(&mut opt));
-            },
-        );
-        phases.add(Phase::Sample, sample_secs);
-        maybe_checkpoint(
-            cfg,
-            "cluster-gcn",
-            epoch + 1,
-            final_loss,
-            &stopper,
-            false,
-            &opt,
-            &mut gcn,
-            None,
-        )?;
-        sgnn_obs::mark_epoch(epoch as u64);
-    }
-    ledger.try_transient(max_batch)?;
-    let train_secs = t1.elapsed().as_secs_f64();
-    let op = gcn_operator(&ds.graph);
-    let logits = gcn.forward_inference(&op, &ds.features);
-    let val_acc =
-        accuracy(&logits.gather_rows(&rows_of(&ds.splits.val)), &ds.labels_of(&ds.splits.val));
-    let test_acc =
-        accuracy(&logits.gather_rows(&rows_of(&ds.splits.test)), &ds.labels_of(&ds.splits.test));
-    sgnn_obs::export_now();
-    let report = TrainReport {
-        name: "cluster-gcn".into(),
-        test_acc,
-        val_acc,
-        final_loss,
+    let mut gcn = new_gcn(ds, cfg);
+    let in_train = train_mask(ds);
+    let full_op = OnceCell::new();
+    let report = run.run(
+        "cluster-gcn".into(),
         precompute_secs,
-        train_secs,
-        peak_mem_bytes: ledger.peak(),
-        epochs_run,
-        phases,
-    };
+        &mut gcn,
+        &mut (),
+        |gcn, opt, _, ep| {
+            let epoch = ep.index;
+            // Partition assignment is one epoch-level shuffle, not
+            // per-batch work — it stays inline; only per-batch
+            // operator/feature construction rides the prefetch pipeline.
+            let batches = ep.phases.time(Phase::Sample, || {
+                batcher.epoch_batches(&ds.graph, clusters_per_batch, cfg.seed + epoch as u64)
+            });
+            let mut last = None;
+            let sample_secs = run_batches(
+                cfg,
+                epoch,
+                batches.len(),
+                |b| {
+                    let batch = &batches[b];
+                    let op = gcn_operator(&batch.graph);
+                    let x = gather_nodes(&ds.features, &batch.nodes);
+                    let (idx, labels) = local_train_rows(&batch.nodes, &in_train, ds);
+                    (op, x, idx, labels)
+                },
+                |_, (op, x, idx, labels)| {
+                    // Batch residency: the partition's operator and
+                    // gathered features are live alongside the layer
+                    // activations.
+                    let acts = gcn.step_bytes(x.rows(), ds.feature_dim());
+                    ep.ledger.try_transient(op.nbytes() + x.nbytes() + acts)?;
+                    if !idx.is_empty() {
+                        last = Some(gcn_step(gcn, opt, ep.phases, &op, &x, &idx, &labels, None));
+                    }
+                    Ok(())
+                },
+            )?;
+            ep.phases.add(Phase::Sample, sample_secs);
+            Ok(last)
+        },
+        |gcn, _, splits| {
+            let op = full_op.get_or_init(|| gcn_operator(&ds.graph));
+            Ok(split_accs(&gcn.forward_inference(op, &ds.features), ds, splits))
+        },
+    )?;
     Ok((gcn, report))
 }
 
@@ -876,17 +811,16 @@ pub fn train_coarse_with(
     cfg: &TrainConfig,
     name: &str,
 ) -> TrainResult<TrainReport> {
-    ensure_classes(ds)?;
-    let mut ledger = build_ledger(cfg);
+    let mut run = EpochDriver::new(ds, cfg)?;
     let t0 = Instant::now();
     // Projection reads the fine feature matrix while the coarse one is
     // being built, so both are briefly resident together.
-    ledger.try_alloc(ds.features.nbytes())?;
+    run.ledger.try_alloc(ds.features.nbytes())?;
     let cx = coarse.project_features(&ds.features);
     let precompute_secs = t0.elapsed().as_secs_f64();
-    ledger.try_alloc(cx.nbytes())?;
-    ledger.free(ds.features.nbytes());
-    ledger.try_alloc(coarse.graph.nbytes())?;
+    run.ledger.try_alloc(cx.nbytes())?;
+    run.ledger.free(ds.features.nbytes());
+    run.ledger.try_alloc(coarse.graph.nbytes())?;
     // Coarse training labels: majority vote over *train-split members*
     // only, so test labels never leak into training.
     let cn = coarse.num_coarse();
@@ -896,74 +830,37 @@ pub fn train_coarse_with(
         votes[c * ds.num_classes + ds.labels[u as usize]] += 1;
     }
     let mut train_coarse_nodes = Vec::new();
-    let mut coarse_labels = vec![0usize; cn];
-    for c in 0..cn {
-        let row = &votes[c * ds.num_classes..(c + 1) * ds.num_classes];
-        let total: u32 = row.iter().sum();
-        if total > 0 {
+    let mut train_labels = Vec::new();
+    for (c, row) in votes.chunks(ds.num_classes).enumerate() {
+        if row.iter().any(|&v| v > 0) {
             train_coarse_nodes.push(c);
-            // Non-empty by the `ensure_classes` entry guard: `row` has
+            // Non-empty by the driver's entry guard: `row` has
             // `num_classes ≥ 1` elements.
-            coarse_labels[c] = row
+            let (label, _) = row
                 .iter()
                 .enumerate()
                 .max_by_key(|&(i, &v)| (v, std::cmp::Reverse(i)))
-                .expect("num_classes >= 1 checked at trainer entry")
-                .0;
+                .expect("num_classes >= 1 checked at trainer entry");
+            train_labels.push(label);
         }
     }
     let op = gcn_operator(&coarse.graph);
-    let mut gcn = Gcn::new(
-        ds.feature_dim(),
-        ds.num_classes,
-        &GcnConfig { hidden: cfg.hidden.clone(), dropout: cfg.dropout, seed: cfg.seed },
-    );
-    ledger.try_transient(gcn.step_bytes(cn, ds.feature_dim()))?;
-    let mut opt = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-    let train_labels: Vec<usize> = train_coarse_nodes.iter().map(|&c| coarse_labels[c]).collect();
-    let t1 = Instant::now();
-    let mut final_loss = 0f32;
-    let mut phases = PhaseBreakdown::new();
-    for epoch in 0..cfg.epochs {
-        poll_epoch_kill(cfg, epoch)?;
-        let _ep = sgnn_obs::span!("trainer.epoch");
-        let (loss, dl_batch) = phases.time(Phase::Forward, || {
-            let logits = gcn.forward(&op, &cx);
-            let batch = logits.gather_rows(&train_coarse_nodes);
-            softmax_cross_entropy(&batch, &train_labels, None)
-        });
-        final_loss = loss;
-        phases.time(Phase::Backward, || {
-            let mut dl = DenseMatrix::zeros(cn, ds.num_classes);
-            dl.scatter_rows(&train_coarse_nodes, &dl_batch);
-            gcn.zero_grad();
-            gcn.backward(&op, &dl);
-        });
-        phases.time(Phase::Step, || gcn.step(&mut opt));
-        sgnn_obs::mark_epoch(epoch as u64);
-    }
-    let train_secs = t1.elapsed().as_secs_f64();
-    // Lift coarse logits to fine nodes and evaluate on the real test set.
-    let coarse_logits = gcn.forward_inference(&op, &cx);
-    let fine_logits = coarse.lift_rows(&coarse_logits);
-    let val_acc =
-        accuracy(&fine_logits.gather_rows(&rows_of(&ds.splits.val)), &ds.labels_of(&ds.splits.val));
-    let test_acc = accuracy(
-        &fine_logits.gather_rows(&rows_of(&ds.splits.test)),
-        &ds.labels_of(&ds.splits.test),
-    );
-    sgnn_obs::export_now();
-    Ok(TrainReport {
-        name: name.to_string(),
-        test_acc,
-        val_acc,
-        final_loss,
+    let mut gcn = new_gcn(ds, cfg);
+    run.ledger.try_transient(gcn.step_bytes(cn, ds.feature_dim()))?;
+    run.run(
+        name.to_string(),
         precompute_secs,
-        train_secs,
-        peak_mem_bytes: ledger.peak(),
-        epochs_run: cfg.epochs,
-        phases,
-    })
+        &mut gcn,
+        &mut (),
+        |gcn, opt, _, ep| {
+            let (rows, labels) = (&train_coarse_nodes, &train_labels);
+            Ok(Some(gcn_step(gcn, opt, ep.phases, &op, &cx, rows, labels, None)))
+        },
+        // Lift coarse logits to fine nodes and evaluate on the real splits.
+        |gcn, _, splits| {
+            Ok(split_accs(&coarse.lift_rows(&gcn.forward_inference(&op, &cx)), ds, splits))
+        },
+    )
 }
 
 #[cfg(test)]

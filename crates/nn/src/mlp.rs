@@ -141,6 +141,27 @@ impl Mlp {
         }
     }
 
+    /// Visits every parameter tensor in the slot order
+    /// [`step`](Mlp::step) uses — the checkpoint save/restore contract.
+    pub fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut DenseMatrix)) {
+        for l in &mut self.linears {
+            l.visit_params(&mut |p, _| f(p));
+        }
+    }
+
+    /// Per-layer dropout call counters — the mask stream positions a
+    /// resumed run must continue from.
+    pub fn dropout_calls(&self) -> Vec<u64> {
+        self.dropouts.iter().map(|d| d.calls()).collect()
+    }
+
+    /// Restores the dropout call counters (checkpoint resume).
+    pub fn restore_dropout_calls(&mut self, calls: &[u64]) {
+        for (d, &c) in self.dropouts.iter_mut().zip(calls) {
+            d.set_calls(c);
+        }
+    }
+
     /// Applies one optimizer step over all parameters.
     pub fn step(&mut self, opt: &mut dyn Optimizer) {
         let mut slot = 0usize;

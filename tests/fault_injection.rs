@@ -15,8 +15,9 @@ use sgnn::core::models::decoupled::PrecomputeMethod;
 use sgnn::core::shard::train_sharded_gcn;
 use sgnn::core::trainer::{
     train_cluster_gcn, train_coarse, train_decoupled, train_full_gcn, train_saint, train_sampled,
-    SamplerKind, TrainConfig,
+    SamplerKind, TrainConfig, TrainReport,
 };
+use sgnn::core::trainer_ext::{train_history, train_seignn};
 use sgnn::data::sbm_dataset;
 use sgnn::fault::{Ckpt, CkptError, FaultPlan};
 use sgnn::partition::hash_partition;
@@ -241,6 +242,45 @@ fn exceeding_the_budget_errors_from_every_trainer() {
     budget_err(train_coarse(&ds, 0.5, &cfg).expect_err("coarse"));
     let part = hash_partition(ds.num_nodes(), 2);
     budget_err(train_sharded_gcn(&ds, &part, &cfg).err().expect("sharded"));
+    budget_err(train_history(&ds, 4, &cfg).expect_err("history"));
+    budget_err(train_seignn(&ds, 4, &cfg).expect_err("seignn"));
+}
+
+#[test]
+fn batch_budget_trips_before_a_later_epoch_kill() {
+    // Mini-batch trainers charge each batch as it is built. A budget
+    // between the resident bytes and the peak must therefore fail inside
+    // epoch 0, before the kill armed at epoch 1 is reached.
+    let ds = small_ds();
+    let base = TrainConfig { epochs: 3, hidden: vec![4], batch_size: 64, ..Default::default() };
+    type Run<'a> = Box<dyn Fn(&TrainConfig) -> Result<TrainReport, TrainError> + 'a>;
+    let rw = sgnn::sample::SaintSampler::RandomWalk { roots: 20, length: 4 };
+    let trainers: Vec<(&str, Run)> = vec![
+        (
+            "sampled",
+            Box::new(|c| train_sampled(&ds, &SamplerKind::NodeWise(vec![4, 4]), c).map(|r| r.1)),
+        ),
+        ("saint", Box::new(|c| train_saint(&ds, rw, 2, c).map(|r| r.1))),
+        ("cluster", Box::new(|c| train_cluster_gcn(&ds, 4, 2, c).map(|r| r.1))),
+        ("seignn", Box::new(|c| train_seignn(&ds, 4, c))),
+    ];
+    for (tag, run) in &trainers {
+        // A run with no epochs charges no batch: its peak is residency.
+        let resident = run(&TrainConfig { epochs: 0, ..base.clone() }).unwrap().peak_mem_bytes;
+        let peak = run(&base).unwrap().peak_mem_bytes;
+        assert!(peak > resident + 1, "{tag}: batches must charge transient bytes");
+        let plan = Arc::new(FaultPlan::new(3).kill_at_epoch(1));
+        let cfg = TrainConfig {
+            mem_budget: Some(resident + 1),
+            fault_plan: Some(Arc::clone(&plan)),
+            ..base.clone()
+        };
+        match run(&cfg) {
+            Err(TrainError::BudgetExceeded(b)) => assert_eq!(b.budget, resident + 1, "{tag}"),
+            other => panic!("{tag}: expected BudgetExceeded, got {other:?}"),
+        }
+        assert!(!plan.exhausted(), "{tag}: the epoch-1 kill must not be reached");
+    }
 }
 
 #[test]

@@ -16,11 +16,13 @@
 
 use sgnn::core::ckpt::SlotParams;
 use sgnn::core::error::{TrainError, TrainResult};
+use sgnn::core::models::decoupled::PrecomputeMethod;
 use sgnn::core::shard::train_sharded_gcn;
 use sgnn::core::trainer::{
-    train_cluster_gcn, train_full_gcn, train_saint, train_sampled, SamplerKind, TrainConfig,
-    TrainReport,
+    train_cluster_gcn, train_coarse, train_decoupled, train_full_gcn, train_saint, train_sampled,
+    SamplerKind, TrainConfig, TrainReport,
 };
+use sgnn::core::trainer_ext::{train_history, train_seignn};
 use sgnn::data::sbm_dataset;
 use sgnn::fault::FaultPlan;
 use sgnn::partition::hash_partition;
@@ -79,6 +81,7 @@ where
             "{tag} kill {kill}: unexpected error {err:?}"
         );
         assert!(plan.exhausted(), "{tag}: armed kill at epoch {kill} never fired");
+        assert!(kill == 0 || maybe_ckpt(&dir).is_some(), "{tag} kill {kill}: no checkpoint");
         let resume = TrainConfig { resume_from: maybe_ckpt(&dir), ..base.clone() };
         let (mut model, report) = run(&resume).unwrap();
         assert_eq!(
@@ -89,6 +92,46 @@ where
         assert_eq!(report.val_acc, ref_report.val_acc, "{tag} kill {kill}: val acc diverged");
         assert_eq!(report.test_acc, ref_report.test_acc, "{tag} kill {kill}: test acc diverged");
         assert_eq!(param_bits(&mut model), ref_bits, "{tag} kill {kill}: weight bits diverged");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// [`sweep_epoch_kills`] for trainers that return no model: the report
+/// bits, the epoch count, and the trainer's `extra` output must match.
+/// Every kill after epoch 0 must find a checkpoint — a trainer that
+/// never writes one would pass the bit checks by retraining from scratch.
+fn sweep_report_kills<T, F>(tag: &str, base: &TrainConfig, epochs: usize, run: F)
+where
+    T: PartialEq + std::fmt::Debug,
+    F: Fn(&TrainConfig) -> TrainResult<(TrainReport, T)>,
+{
+    let (ref_report, ref_extra) = run(base).unwrap();
+    for kill in 0..epochs {
+        let dir = tmp_dir(&format!("{tag}_e{kill}"));
+        let plan = Arc::new(FaultPlan::new(17).kill_at_epoch(kill));
+        let cfg = TrainConfig {
+            ckpt_dir: Some(dir.clone()),
+            fault_plan: Some(Arc::clone(&plan)),
+            ..base.clone()
+        };
+        let err = run(&cfg).expect_err("armed kill must abort the run");
+        assert!(
+            matches!(err, TrainError::InjectedCrash { site: "epoch", at } if at == kill as u64),
+            "{tag} kill {kill}: unexpected error {err:?}"
+        );
+        assert!(plan.exhausted(), "{tag}: armed kill at epoch {kill} never fired");
+        assert!(kill == 0 || maybe_ckpt(&dir).is_some(), "{tag} kill {kill}: no checkpoint");
+        let resume = TrainConfig { resume_from: maybe_ckpt(&dir), ..base.clone() };
+        let (report, extra) = run(&resume).unwrap();
+        assert_eq!(
+            report.final_loss.to_bits(),
+            ref_report.final_loss.to_bits(),
+            "{tag} kill {kill}: loss bits diverged"
+        );
+        assert_eq!(report.val_acc, ref_report.val_acc, "{tag} kill {kill}: val acc diverged");
+        assert_eq!(report.test_acc, ref_report.test_acc, "{tag} kill {kill}: test acc diverged");
+        assert_eq!(report.epochs_run, ref_report.epochs_run, "{tag} kill {kill}: epochs diverged");
+        assert_eq!(extra, ref_extra, "{tag} kill {kill}: trainer state diverged");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -222,5 +265,93 @@ fn resume_from_a_finished_run_is_a_no_op_replay() {
     assert_eq!(report.epochs_run, ref_report.epochs_run);
     assert_eq!(report.test_acc, ref_report.test_acc);
     assert_eq!(param_bits(&mut resumed), param_bits(&mut reference));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn decoupled_killed_at_every_epoch_resumes_bitwise() {
+    // Dropout on, so the MLP's mask call counters must survive the kill.
+    let ds = sbm_dataset(220, 3, 8.0, 0.85, 6, 0.8, 0, 0.5, 0.25, 37);
+    let base = TrainConfig { epochs: 3, hidden: vec![6], batch_size: 32, ..Default::default() };
+    sweep_epoch_kills("decoupled", &base, 3, |cfg| {
+        train_decoupled(&ds, &PrecomputeMethod::Sgc { k: 2 }, cfg).map(|(m, r)| (m.mlp, r))
+    });
+}
+
+#[test]
+fn coarse_killed_at_every_epoch_resumes_bitwise() {
+    let ds = sbm_dataset(220, 3, 8.0, 0.85, 6, 0.8, 0, 0.5, 0.25, 41);
+    let base = TrainConfig { epochs: 3, hidden: vec![6], ..Default::default() };
+    sweep_report_kills("coarse", &base, 3, |cfg| train_coarse(&ds, 0.5, cfg).map(|r| (r, ())));
+}
+
+#[test]
+fn history_killed_at_every_epoch_resumes_bitwise() {
+    // The embedding cache and its staleness tallies ride in the
+    // checkpoint: the resumed run must serve the same cached rows (loss
+    // bits) and report the same hit rate and mean age.
+    let ds = sbm_dataset(220, 3, 8.0, 0.85, 6, 0.8, 0, 0.5, 0.25, 43);
+    let base = TrainConfig { epochs: 3, hidden: vec![6], batch_size: 48, ..Default::default() };
+    sweep_report_kills("history", &base, 3, |cfg| {
+        train_history(&ds, 4, cfg)
+            .map(|(r, st)| (r, (st.hit_rate.to_bits(), st.mean_age.to_bits())))
+    });
+}
+
+#[test]
+fn seignn_killed_at_every_epoch_resumes_bitwise() {
+    let ds = sbm_dataset(220, 3, 8.0, 0.85, 6, 0.8, 0, 0.5, 0.25, 47);
+    let base = TrainConfig { epochs: 3, hidden: vec![6], ..Default::default() };
+    sweep_report_kills("seignn", &base, 3, |cfg| train_seignn(&ds, 4, cfg).map(|r| (r, ())));
+}
+
+#[test]
+fn sharded_killed_at_every_epoch_resumes_bitwise() {
+    // The epoch-kill site of the sharded trainer, under the exact and a
+    // compressed regime (whose comm state rides as the sidecar).
+    let ds = sbm_dataset(180, 3, 8.0, 0.85, 5, 0.8, 0, 0.5, 0.25, 53);
+    let part = hash_partition(ds.num_nodes(), 2);
+    let int8 =
+        sgnn::core::CommRegime::Compressed { quant: sgnn::linalg::QuantMode::Int8, staleness: 2 };
+    for regime in [sgnn::core::CommRegime::Exact, int8] {
+        let base = TrainConfig {
+            epochs: 3,
+            hidden: vec![4],
+            dropout: 0.1,
+            comm_regime: regime,
+            ..Default::default()
+        };
+        sweep_epoch_kills("shard-epoch", &base, 3, |cfg| {
+            train_sharded_gcn(&ds, &part, cfg).map(|(gcn, r, _)| (gcn, r))
+        });
+    }
+}
+
+#[test]
+fn cluster_gcn_honours_patience_and_resume_replays_the_stop() {
+    let ds = sbm_dataset(240, 3, 8.0, 0.9, 5, 0.7, 0, 0.5, 0.25, 3);
+    let base = TrainConfig { epochs: 40, hidden: vec![6], patience: Some(2), ..Default::default() };
+    let run = |cfg: &TrainConfig| train_cluster_gcn(&ds, 6, 2, cfg).unwrap().1;
+    let reference = run(&base);
+    let stop_epoch = reference.epochs_run;
+    assert!(stop_epoch < 40, "patience must stop training before the epoch budget");
+    let same = |r: &TrainReport, what: &str| {
+        assert_eq!(r.epochs_run, stop_epoch, "{what}: stop epoch diverged");
+        assert_eq!(r.final_loss.to_bits(), reference.final_loss.to_bits(), "{what}");
+        assert_eq!(r.val_acc, reference.val_acc, "{what}");
+        assert_eq!(r.test_acc, reference.test_acc, "{what}");
+    };
+    // Killed on the stop epoch: the resumed run retrains it and stops.
+    let dir = tmp_dir("cluster_patience");
+    let plan = Arc::new(FaultPlan::new(31).kill_at_epoch(stop_epoch - 1));
+    let cfg = TrainConfig { ckpt_dir: Some(dir.clone()), fault_plan: Some(plan), ..base.clone() };
+    train_cluster_gcn(&ds, 6, 2, &cfg).err().expect("armed kill must abort the run");
+    let resume =
+        TrainConfig { ckpt_dir: Some(dir.clone()), resume_from: maybe_ckpt(&dir), ..base.clone() };
+    same(&run(&resume), "resumed before the stop");
+    // Killed after the stop: the checkpoint records it, so a resume runs
+    // no further epoch.
+    let after = TrainConfig { resume_from: maybe_ckpt(&dir), ..base.clone() };
+    same(&run(&after), "resumed after the stop");
     let _ = std::fs::remove_dir_all(&dir);
 }
